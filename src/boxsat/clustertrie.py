@@ -5,13 +5,25 @@ holds two 128-bit masks: ``boxes_mask`` marks sub-boxes that terminate here
 (one bit per slot of the 121-way enumeration), ``children_mask`` marks the
 length-4 prefixes (slots 40..120) under which deeper boxes live.  Stored
 sub-boxes are trimmed at the box's last non-λ position, so a slot's trit
-string never ends in λ; everything after it is implicitly λ.
+string never ends in λ; everything after it is implicitly λ.  A box stored
+at depth d therefore has index 4d + 1 .. 4d + 4 (the all-λ box, index 0,
+sits in the root's slot 0).
 
 A containment query intersects each visited cluster's masks with a
 precomputed per-input row listing every slot that could contain the input's
 sub-box.  One intersection therefore replaces up to 16 individual trie-edge
 probes.  Chains of clusters holding no boxes and only the all-λ child are
 hopped over without touching the masks (the λ-skip).
+
+Every walk loops over an explicit stack and carries its path as plain ints,
+so formula width is bounded by memory, not by Python's recursion limit.  The query's slot
+rank at a depth is read on demand from its (mask, val) bits through a
+per-depth (shift, width) pair and a rank table; the witness box is built by
+OR-ing each slot's 4-bit (mask, val) field into the path as the walk goes
+down.  Besides "some containing box" (``find_containing``) and "every
+containing box" (``all_containing``), the trie answers "the containing box
+with the smallest index" (``smallest_containing``) in one walk that skips
+every subtree too deep to beat the best box found so far.
 """
 
 from __future__ import annotations
@@ -35,15 +47,40 @@ _ALL_LAMBDA_CHILD_BIT = 1 << CHILD_SLOT_LOW
 _RANK_TRITS = tuple(rank_to_trits(r) for r in range(SUBBOX_RANKS))
 
 
-def _trimmed_length(trits: tuple[Trit, ...]) -> int:
-    n = len(trits)
-    while n and trits[n - 1] is Trit.LAMBDA:
-        n -= 1
-    return n
+def _slot_tables():
+    """Per slot, its sub-box as a left-aligned 4-bit (mask, val) field.  Per
+    index class k, the slots whose sub-box ends at its k-th trit (trailing λs
+    do not count), so a class-k hit at depth d is a box of index 4d + k.  Per
+    field length, the slot of a right-aligned field, indexed by
+    ``mask << 4 | val``."""
+    lam, true = Trit.LAMBDA, Trit.TRUE
+    masks, vals = [], []
+    classes = [0] * (CLUSTER_SPAN + 1)
+    ranks = tuple([0] * 256 for _ in range(CLUSTER_SPAN + 1))
+    for slot, trits in enumerate(_RANK_TRITS):
+        m = v = 0
+        for t in trits:
+            m = m << 1 | (t is not lam)
+            v = v << 1 | (t is true)
+        length = len(trits)
+        masks.append(m << (CLUSTER_SPAN - length))
+        vals.append(v << (CLUSTER_SPAN - length))
+        trailing_lambdas = (m & -m).bit_length() - 1 if m else length
+        classes[length - trailing_lambdas] |= 1 << slot
+        ranks[length][m << 4 | v] = slot
+    return tuple(masks), tuple(vals), tuple(classes), ranks
 
 
-# Index each slot carries toward a box index: trailing λs do not count.
-_RANK_INDEX = tuple(_trimmed_length(t) for t in _RANK_TRITS)
+_SLOT_MASK, _SLOT_VAL, _INDEX_CLASSES, _FIELD_RANKS = _slot_tables()
+
+
+def _first_by_index(hits: int) -> tuple[int, int]:
+    """(index class, slot) of the hit with the smallest index, then rank."""
+    k = 0
+    while not hits & _INDEX_CLASSES[k]:
+        k += 1
+    h = hits & _INDEX_CLASSES[k]
+    return k, (h & -h).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -90,29 +127,6 @@ def build_lookup_tables() -> LookupTables:
     return LookupTables(tuple(box_rows), tuple(child_rows))
 
 
-# Rank of a 4-trit field given its (mask bits, value bits) pair.
-_PHI4 = [0] * 256
-for _m in range(16):
-    for _v in range(16):
-        if _v & ~_m:
-            continue
-        _digits = []
-        for _i in range(3, -1, -1):
-            _digits.append(1 + ((_m >> _i) & 1) + ((_v >> _i) & 1))
-        _r = 0
-        for _d in _digits:
-            _r = _r * 3 + _d
-        _PHI4[(_m << 4) | _v] = _r
-del _m, _v, _digits, _r, _d, _i
-
-
-def _field_rank(mbits: int, vbits: int, length: int) -> int:
-    rank = 0
-    for i in range(length - 1, -1, -1):
-        rank = rank * 3 + 1 + ((mbits >> i) & 1) + ((vbits >> i) & 1)
-    return rank
-
-
 class Cluster:
     __slots__ = ("boxes_mask", "children_mask", "children", "depth")
 
@@ -129,6 +143,18 @@ class BoxDatabase:
     ``insert`` is a no-op when some stored box already contains the new one
     (the containment short-circuit); the reverse direction is *not* checked,
     so a newly inserted box may coexist with boxes it subsumes.
+
+    Every walk pops ``(cluster, depth, mask, val)`` entries off an explicit
+    stack; ``mask``/``val`` hold the fixed bits of the path to the cluster,
+    left-aligned in a space of 4 × ``cluster_count`` positions (the last
+    cluster may cover fewer than four).  Children are pushed highest slot
+    first, so clusters pop depth-first in increasing slot order.  A query
+    first hops the popped cluster's λ-skip chain (clusters on the last depth
+    have no children, so a hop never runs past it), then reads the query's
+    rank at that depth and intersects.  The three queries inline this walk
+    instead of calling shared helpers per cluster: it is the sweep's
+    innermost loop, and those calls made the ``blocks`` sweep about a third
+    slower.
     """
 
     def __init__(self, n: int, lambda_skip: bool = True):
@@ -140,7 +166,17 @@ class BoxDatabase:
         self.box_count = 0
         self.cluster_visits = 0  # clusters whose masks were intersected
         self._tables = build_lookup_tables()
-        self._last_depth = max(0, (n - 1) // CLUSTER_SPAN)
+        self._last_depth = last = max(0, (n - 1) // CLUSTER_SPAN)
+        # positions the path space carries past n, all λ
+        self._pad = CLUSTER_SPAN * (last + 1) - n
+        # Per depth: the shift, width mask and rank table that read a box's
+        # field there, and the shift placing a slot's 4-bit field in the path.
+        fields = []
+        for d in range(last + 1):
+            length = min(CLUSTER_SPAN, n - CLUSTER_SPAN * d)
+            fields.append((n - CLUSTER_SPAN * d - length, (1 << length) - 1,
+                           _FIELD_RANKS[length], CLUSTER_SPAN * (last - d)))
+        self._fields = fields
 
     @property
     def cluster_count(self) -> int:
@@ -155,42 +191,34 @@ class BoxDatabase:
         if b.n != self.n:
             raise BoxError(f"box length {b.n} != database length {self.n}")
 
-    def _query_ranks(self, q: Box) -> list[int]:
-        """Per-depth slot ranks of the query's sub-boxes."""
-        n, mask, val = self.n, q.mask, q.val
-        ranks = []
-        for d in range(self._last_depth + 1):
-            length = min(CLUSTER_SPAN, n - CLUSTER_SPAN * d)
-            shift = n - CLUSTER_SPAN * d - length
-            m = (mask >> shift) & ((1 << length) - 1)
-            v = (val >> shift) & ((1 << length) - 1)
-            if length == CLUSTER_SPAN:
-                ranks.append(_PHI4[(m << 4) | v])
-            else:
-                ranks.append(_field_rank(m, v, length))
-        return ranks
+    def _witness(self, mask: int, val: int, depth: int, slot: int) -> Box:
+        """The box stored in ``slot`` of the cluster at ``depth`` whose path
+        fixes ``mask``/``val``."""
+        up = self._fields[depth][3]
+        pad = self._pad
+        return Box(
+            self.n,
+            (mask | _SLOT_MASK[slot] << up) >> pad,
+            (val | _SLOT_VAL[slot] << up) >> pad,
+        )
 
-    def _rebuild(self, path: list[int], slot: int) -> Box:
-        trits: list[Trit] = []
-        for p in path:
-            trits.extend(_RANK_TRITS[p])
-        trits.extend(_RANK_TRITS[slot])
-        trits.extend([Trit.LAMBDA] * (self.n - len(trits)))
-        return Box.from_trits(trits)
-
-    @staticmethod
-    def _best_slot(hits: int) -> int:
-        """Hit slot with the smallest index (most trailing λs), then rank."""
-        best = -1
-        best_key = None
-        while hits:
-            low = hits & -hits
-            hits ^= low
-            slot = low.bit_length() - 1
-            key = (_RANK_INDEX[slot], slot)
-            if best_key is None or key < best_key:
-                best, best_key = slot, key
-        return best
+    def _clusters(self):
+        """Every cluster as ``(cluster, depth, slot, mask, val)`` in walk
+        order, without λ-skip; ``slot`` is the child slot leading to the
+        cluster (None at the root)."""
+        fields = self._fields
+        stack = [(self.root, 0, None, 0, 0)]
+        while stack:
+            entry = stack.pop()
+            yield entry
+            cluster, depth, _, mask, val = entry
+            up = fields[depth][3]
+            kids = cluster.children_mask
+            while kids:
+                slot = kids.bit_length() - 1
+                kids ^= 1 << slot
+                stack.append((cluster.children[slot], depth + 1, slot,
+                               mask | _SLOT_MASK[slot] << up, val | _SLOT_VAL[slot] << up))
 
     # -- operations ------------------------------------------------------
 
@@ -204,24 +232,24 @@ class BoxDatabase:
             self.box_count += 1
             return
         terminal = (k - 1) // CLUSTER_SPAN
-        n, mask, val = self.n, b.mask, b.val
+        mask, val = b.mask, b.val
         cluster = self.root
         for d in range(terminal):
-            shift = n - CLUSTER_SPAN * (d + 1)
-            m = (mask >> shift) & 0xF
-            v = (val >> shift) & 0xF
-            slot = _PHI4[(m << 4) | v]
+            shift, width, ranks, _ = self._fields[d]
+            slot = ranks[((mask >> shift) & width) << 4 | ((val >> shift) & width)]
             child = cluster.children.get(slot)
             if child is None:
                 child = Cluster(d + 1)
                 cluster.children[slot] = child
                 cluster.children_mask |= 1 << slot
             cluster = child
-        local_len = k - CLUSTER_SPAN * terminal
-        shift = n - k
-        m = (mask >> shift) & ((1 << local_len) - 1)
-        v = (val >> shift) & ((1 << local_len) - 1)
-        cluster.boxes_mask |= 1 << _field_rank(m, v, local_len)
+        # the trimmed field: up to and including the box's last non-λ
+        length = k - CLUSTER_SPAN * terminal
+        shift = self.n - k
+        width = (1 << length) - 1
+        cluster.boxes_mask |= 1 << _FIELD_RANKS[length][
+            ((mask >> shift) & width) << 4 | ((val >> shift) & width)
+        ]
         self.box_count += 1
 
     def find_containing(self, q: Box) -> Box | None:
@@ -232,47 +260,75 @@ class BoxDatabase:
         the first hit found below is returned.
         """
         self._check_length(q)
-        if self.n == 0:
-            self.cluster_visits += 1
-            return Box.all_lambda(0) if self.root.boxes_mask & 1 else None
-        ranks = self._query_ranks(q)
-        box_tab = self._tables.box_containers
-        child_tab = self._tables.child_containers
-        last = self._last_depth
-        skip = self.lambda_skip
-        path: list[int] = []
-
-        def descend(cluster: Cluster, depth: int) -> Box | None:
-            hops = 0
-            while (
-                skip
-                and depth < last
-                and cluster.boxes_mask == 0
-                and cluster.children_mask == _ALL_LAMBDA_CHILD_BIT
-            ):
-                path.append(CHILD_SLOT_LOW)
-                cluster = cluster.children[CHILD_SLOT_LOW]
-                depth += 1
-                hops += 1
-            self.cluster_visits += 1
-            result = None
-            hits = cluster.boxes_mask & box_tab[ranks[depth]]
+        qm, qv = q.mask, q.val
+        fields, skip = self._fields, self.lambda_skip
+        box_tab, child_tab = self._tables.box_containers, self._tables.child_containers
+        visits = 0
+        stack = [(self.root, 0, 0, 0)]
+        while stack:
+            cluster, depth, mask, val = stack.pop()
+            if skip:
+                while not cluster.boxes_mask and cluster.children_mask == _ALL_LAMBDA_CHILD_BIT:
+                    cluster = cluster.children[CHILD_SLOT_LOW]
+                    depth += 1
+            visits += 1
+            shift, width, ranks, up = fields[depth]
+            rank = ranks[((qm >> shift) & width) << 4 | ((qv >> shift) & width)]
+            hits = cluster.boxes_mask & box_tab[rank]
             if hits:
-                result = self._rebuild(path, self._best_slot(hits))
-            elif depth < last:
-                kids = cluster.children_mask & child_tab[ranks[depth]]
-                while kids and result is None:
-                    low = kids & -kids
-                    kids ^= low
-                    slot = low.bit_length() - 1
-                    path.append(slot)
-                    result = descend(cluster.children[slot], depth + 1)
-                    path.pop()
-            if hops:
-                del path[-hops:]
-            return result
+                self.cluster_visits += visits
+                return self._witness(mask, val, depth, _first_by_index(hits)[1])
+            kids = cluster.children_mask & child_tab[rank]
+            while kids:
+                slot = kids.bit_length() - 1
+                kids ^= 1 << slot
+                stack.append((cluster.children[slot], depth + 1,
+                              mask | _SLOT_MASK[slot] << up, val | _SLOT_VAL[slot] << up))
+        self.cluster_visits += visits
+        return None
 
-        return descend(self.root, 0)
+    def smallest_containing(self, q: Box) -> Box | None:
+        """The stored box with the smallest index containing ``q``, or None.
+
+        Equals ``min(self.all_containing(q), key=lambda b: b.index)``, ties
+        going to the box met first in that walk.  A subtree at depth d holds
+        only indexes from 4d + 1 up, so it is skipped once a box of index at
+        most 4d + 1 has been found.
+        """
+        self._check_length(q)
+        qm, qv = q.mask, q.val
+        fields, skip = self._fields, self.lambda_skip
+        box_tab, child_tab = self._tables.box_containers, self._tables.child_containers
+        best = None
+        best_index = CLUSTER_SPAN * len(fields) + 1  # beyond any stored box
+        visits = 0
+        stack = [(self.root, 0, 0, 0)]
+        while stack:
+            cluster, depth, mask, val = stack.pop()
+            if skip:
+                while not cluster.boxes_mask and cluster.children_mask == _ALL_LAMBDA_CHILD_BIT:
+                    cluster = cluster.children[CHILD_SLOT_LOW]
+                    depth += 1
+            if CLUSTER_SPAN * depth + 1 >= best_index:
+                continue
+            visits += 1
+            shift, width, ranks, up = fields[depth]
+            rank = ranks[((qm >> shift) & width) << 4 | ((qv >> shift) & width)]
+            hits = cluster.boxes_mask & box_tab[rank]
+            if hits:
+                k, slot = _first_by_index(hits)
+                if CLUSTER_SPAN * depth + k < best_index:
+                    best_index = CLUSTER_SPAN * depth + k
+                    best = (mask, val, depth, slot)
+                continue
+            kids = cluster.children_mask & child_tab[rank]
+            while kids:
+                slot = kids.bit_length() - 1
+                kids ^= 1 << slot
+                stack.append((cluster.children[slot], depth + 1,
+                              mask | _SLOT_MASK[slot] << up, val | _SLOT_VAL[slot] << up))
+        self.cluster_visits += visits
+        return None if best is None else self._witness(*best)
 
     def all_containing(self, q: Box, include_shadowed: bool = False) -> list[Box]:
         """All stored boxes containing ``q`` reachable by the mask walk.
@@ -283,75 +339,45 @@ class BoxDatabase:
         containing set.
         """
         self._check_length(q)
+        qm, qv = q.mask, q.val
+        fields, skip = self._fields, self.lambda_skip
+        box_tab, child_tab = self._tables.box_containers, self._tables.child_containers
         out: list[Box] = []
-        if self.n == 0:
+        stack = [(self.root, 0, 0, 0)]
+        while stack:
+            cluster, depth, mask, val = stack.pop()
+            if skip:
+                while not cluster.boxes_mask and cluster.children_mask == _ALL_LAMBDA_CHILD_BIT:
+                    cluster = cluster.children[CHILD_SLOT_LOW]
+                    depth += 1
             self.cluster_visits += 1
-            if self.root.boxes_mask & 1:
-                out.append(Box.all_lambda(0))
-            return out
-        ranks = self._query_ranks(q)
-        box_tab = self._tables.box_containers
-        child_tab = self._tables.child_containers
-        last = self._last_depth
-        skip = self.lambda_skip
-        path: list[int] = []
-
-        def gather(cluster: Cluster, depth: int) -> None:
-            hops = 0
-            while (
-                skip
-                and depth < last
-                and cluster.boxes_mask == 0
-                and cluster.children_mask == _ALL_LAMBDA_CHILD_BIT
-            ):
-                path.append(CHILD_SLOT_LOW)
-                cluster = cluster.children[CHILD_SLOT_LOW]
-                depth += 1
-                hops += 1
-            self.cluster_visits += 1
-            hits = cluster.boxes_mask & box_tab[ranks[depth]]
-            h = hits
+            shift, width, ranks, up = fields[depth]
+            rank = ranks[((qm >> shift) & width) << 4 | ((qv >> shift) & width)]
+            hits = h = cluster.boxes_mask & box_tab[rank]
             while h:
                 low = h & -h
                 h ^= low
-                out.append(self._rebuild(path, low.bit_length() - 1))
-            if (not hits or include_shadowed) and depth < last:
-                kids = cluster.children_mask & child_tab[ranks[depth]]
-                while kids:
-                    low = kids & -kids
-                    kids ^= low
-                    slot = low.bit_length() - 1
-                    path.append(slot)
-                    gather(cluster.children[slot], depth + 1)
-                    path.pop()
-            if hops:
-                del path[-hops:]
-
-        gather(self.root, 0)
+                out.append(self._witness(mask, val, depth, low.bit_length() - 1))
+            if hits and not include_shadowed:
+                continue
+            kids = cluster.children_mask & child_tab[rank]
+            while kids:
+                slot = kids.bit_length() - 1
+                kids ^= 1 << slot
+                stack.append((cluster.children[slot], depth + 1,
+                              mask | _SLOT_MASK[slot] << up, val | _SLOT_VAL[slot] << up))
         return out
 
     # -- introspection ---------------------------------------------------
 
     def boxes(self):
         """Yield every stored box (depth-first, increasing slot order)."""
-        path: list[int] = []
-
-        def walk(cluster: Cluster):
+        for cluster, depth, _, mask, val in self._clusters():
             m = cluster.boxes_mask
             while m:
                 low = m & -m
                 m ^= low
-                yield self._rebuild(path, low.bit_length() - 1)
-            m = cluster.children_mask
-            while m:
-                low = m & -m
-                m ^= low
-                slot = low.bit_length() - 1
-                path.append(slot)
-                yield from walk(cluster.children[slot])
-                path.pop()
-
-        yield from walk(self.root)
+                yield self._witness(mask, val, depth, low.bit_length() - 1)
 
     def dump(self) -> str:
         """Textual listing, one ``depth:slot`` line per set bit.
@@ -360,22 +386,14 @@ class BoxDatabase:
         increasing slot order, so equal structures dump identically.
         """
         lines: list[str] = []
-
-        def walk(cluster: Cluster, depth: int):
+        for cluster, depth, slot, _, _ in self._clusters():
+            if slot is not None:
+                lines.append(f"{depth - 1}:{slot}>")
             m = cluster.boxes_mask
             while m:
                 low = m & -m
                 m ^= low
                 lines.append(f"{depth}:{low.bit_length() - 1}")
-            m = cluster.children_mask
-            while m:
-                low = m & -m
-                m ^= low
-                slot = low.bit_length() - 1
-                lines.append(f"{depth}:{slot}>")
-                walk(cluster.children[slot], depth + 1)
-
-        walk(self.root, 0)
         return "\n".join(lines)
 
     def total_set_bits(self) -> int:

@@ -101,6 +101,37 @@ class VariableOrder:
         return f"VariableOrder({self._variable})"
 
 
+def _text_lines(source: str | bytes | IO):
+    """Lines of a text or binary source; undecodable input raises
+    :class:`DimacsError`.  Binary lines decode as UTF-8 one at a time, so the
+    error names its line; a text stream decodes ahead in chunks, so its
+    error cannot."""
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    elif isinstance(source, str):
+        source = io.StringIO(source)
+    lines = iter(source)
+    line_no = 0
+    while True:
+        try:
+            raw = next(lines)
+        except StopIteration:
+            return
+        except UnicodeDecodeError as exc:
+            raise _undecodable(exc, None) from None
+        line_no += 1
+        if isinstance(raw, bytes):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise _undecodable(exc, line_no) from None
+        yield raw
+
+
+def _undecodable(exc: UnicodeDecodeError, line: int | None) -> DimacsError:
+    return DimacsError(f"undecodable input ({exc.encoding}: {exc.reason})", line)
+
+
 def parse_dimacs(source: str | bytes | IO) -> CnfProblem:
     """Parse DIMACS CNF text.
 
@@ -110,11 +141,6 @@ def parse_dimacs(source: str | bytes | IO) -> CnfProblem:
     entirely since they reject no assignment, though they still count toward
     the declared clause total.
     """
-    if isinstance(source, bytes):
-        source = source.decode("ascii")
-    if isinstance(source, str):
-        source = io.StringIO(source)
-
     n = -1
     declared = -1
     seen = 0
@@ -133,8 +159,7 @@ def parse_dimacs(source: str | bytes | IO) -> CnfProblem:
         clauses.append(Clause(lits))
 
     line_no = 0
-    for raw in source:
-        line_no += 1
+    for line_no, raw in enumerate(_text_lines(source), 1):
         line = raw.strip()
         if not line:
             continue
@@ -215,8 +240,6 @@ def point_to_literals(point: Box, order: VariableOrder) -> tuple[int, ...]:
     """Signed literals of a full point, in original variable numbering."""
     if not point.is_point:
         raise ValueError("not a full point")
-    out = []
-    for v in range(1, point.n + 1):
-        t = point.trit(order.position_of(v) - 1)
-        out.append(v if t is Trit.TRUE else -v)
-    return tuple(out)
+    # variable v sits at 1-based position p, which is bit n - p of the point
+    n, val, position = point.n, point.val, order._position
+    return tuple([v if (val >> (n - position[v])) & 1 else -v for v in range(1, n + 1)])

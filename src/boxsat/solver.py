@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .boxes import Box, BoxError, Trit, resolve, tail_resolvable
-from .clustertrie import CLUSTER_SPAN, BoxDatabase
+from .clustertrie import BoxDatabase
 from .cnf import CnfProblem, VariableOrder, clause_to_box, point_to_literals
 from .ordering import build_order
 
@@ -37,8 +37,6 @@ class SolverConfig:
     ordering: str = "grouped-heuristic"
     mode: str = "count"  # "count" | "enumerate"
     lambda_skip: bool = True
-    # Experimental alternative gate: measure all-λ clusters instead of λ trits.
-    cluster_gate: bool = False
     timeout: float | None = None
 
     def __post_init__(self):
@@ -50,6 +48,13 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
+    """Outcome of :func:`run`.
+
+    ``models`` holds every model as a signed-literal tuple in enumerate mode
+    without an ``on_model`` callback; it is None in count mode and whenever
+    models were streamed, so streaming keeps memory independent of the count.
+    """
+
     count: int
     models: list[tuple[int, ...]] | None
     load_seconds: float
@@ -110,7 +115,9 @@ class SolverState:
         self.left: list[Box | None] = [None] * (n + 1)
         self.probe = Box.point(n, 0)
         self.model_count = 0
-        self.models: list[Box] | None = [] if self.config.mode == "enumerate" else None
+        # models are retained only when nothing streams them
+        retain = self.config.mode == "enumerate" and on_model is None
+        self.models: list[Box] | None = [] if retain else None
         self.on_model = on_model
         self.trace = trace
         self.covered = False
@@ -123,20 +130,7 @@ class SolverState:
 
     def gate_passes(self, r: Box) -> bool:
         """Selective insertion: enough of the box must be wildcards."""
-        ratio = self.config.insertion_ratio
-        if self.n == 0:
-            return True
-        if self.config.cluster_gate:
-            clusters = self.database.cluster_count
-            free = sum(
-                1
-                for d in range(clusters)
-                if (r.mask >> max(0, self.n - CLUSTER_SPAN * (d + 1)))
-                & ((1 << min(CLUSTER_SPAN, self.n - CLUSTER_SPAN * d)) - 1)
-                == 0
-            )
-            return free >= ratio * clusters
-        return r.lambda_count >= ratio * self.n
+        return r.lambda_count >= self.config.insertion_ratio * self.n
 
     def _cache_insert(self, box: Box, source: str) -> None:
         if self.trace is not None:
@@ -180,12 +174,11 @@ class SolverState:
         source = "cache"
         b = self.cache.find_containing(p)
         if b is None:
-            found = self.database.all_containing(p)
-            if found:
+            # the smallest-index hit advances the probe furthest; it is the
+            # one worth caching
+            b = self.database.smallest_containing(p)
+            if b is not None:
                 source = "database"
-                # the smallest-index hit advances the probe furthest; it is
-                # the one worth caching
-                b = min(found, key=lambda f: f.index)
                 self._cache_insert(b, "database")
             else:
                 source = "model"

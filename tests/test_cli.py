@@ -1,5 +1,13 @@
-import pytest
+import contextlib
+import io
+import random
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boxsat import Clause, CnfProblem, write_dimacs
 from boxsat.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -134,6 +142,46 @@ class TestParseErrors:
         bad = tmp_path / "bad.edges"
         bad.write_text("0 zebra\n")
         assert main(["gen", str(bad), "--query", "clique", "--size", "3"]) == EXIT_PARSE
+
+    def test_non_utf8_comment(self, tmp_path):
+        bad = tmp_path / "bad.cnf"
+        bad.write_bytes(b"c \xff\xfe\np cnf 2 1\n1 2 0\n")
+        assert main(["count", str(bad)]) == EXIT_PARSE
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            st.binary(max_size=64),
+            st.binary(max_size=64).map(lambda tail: b"p cnf 3 2\n1 -2 0\n" + tail),
+        )
+    )
+    def test_arbitrary_bytes_on_stdin(self, data):
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            original, sys.stdin = sys.stdin, stdin
+            try:
+                code = main(["count", "-"])
+            finally:
+                sys.stdin = original
+        assert code in (EXIT_OK, EXIT_PARSE), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+
+class TestWideFormula:
+    def test_n_5000_exits_cleanly(self, tmp_path, capsys):
+        rng = random.Random(5000)
+        n = 5000
+        clauses = [
+            Clause(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3))
+            for _ in range(100)
+        ]
+        path = tmp_path / "wide.cnf"
+        with open(path, "w") as fh:
+            write_dimacs(CnfProblem(n, clauses), fh)
+        code = main(["count", str(path), "--ordering", "naive-degree", "--timeout", "2"])
+        assert code in (EXIT_OK, EXIT_TIMEOUT)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestGen:

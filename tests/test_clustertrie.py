@@ -288,3 +288,102 @@ class TestOracleEquivalence:
                 full = db.all_containing(q, include_shadowed=True)
                 assert sorted(map(repr, full)) == sorted(map(repr, lin))
                 assert set(map(repr, db.all_containing(q))) <= set(map(repr, lin))
+
+
+def specialise(rng: random.Random, box: Box, point: bool) -> Box:
+    """A box inside ``box``: some (or, for a point, all) λs fixed at random."""
+    free = ((1 << box.n) - 1) & ~box.mask
+    extra = free if point else free & rng.getrandbits(box.n)
+    return Box(box.n, box.mask | extra, box.val | (extra & rng.getrandbits(box.n)))
+
+
+class TestDifferential:
+    """Every query against ``oracle.linear_containing`` on random tries."""
+
+    def build(self, rng, n, lambda_skip):
+        db = BoxDatabase(n, lambda_skip=lambda_skip)
+        stored = []
+        for _ in range(rng.randint(0, 40)):
+            b = random_box(rng, n, lambda_weight=rng.choice((1, 2, 4, 8)))
+            if not any(s.contains(b) for s in stored):
+                stored.append(b)
+            db.insert(b)
+        return db, stored
+
+    def queries(self, rng, n, stored):
+        for _ in range(12):
+            point = rng.random() < 0.5
+            if stored and rng.random() < 0.7:
+                yield specialise(rng, rng.choice(stored), point)
+            elif point:
+                yield Box.point(n, rng.getrandbits(n))
+            else:
+                yield random_box(rng, n)
+
+    def test_against_linear_scan(self):
+        rng = random.Random(97)
+        for trial in range(240):
+            n = 1 + trial % 40
+            db, stored = self.build(rng, n, lambda_skip=bool(trial % 3))
+            assert sorted(map(repr, db.boxes())) == sorted(map(repr, stored))
+            for q in self.queries(rng, n, stored):
+                lin = linear_containing(stored, q)
+                hit = db.find_containing(q)
+                assert (hit is None) == (not lin)
+                if hit is not None:
+                    assert hit in lin
+                shown = db.all_containing(q)
+                smallest = db.smallest_containing(q)
+                if lin:
+                    assert smallest == min(shown, key=lambda b: b.index)
+                    assert smallest.index == min(b.index for b in lin)
+                else:
+                    assert smallest is None and shown == []
+                full = db.all_containing(q, include_shadowed=True)
+                assert sorted(map(repr, full)) == sorted(map(repr, lin))
+
+    def test_smallest_ties_go_to_walk_order(self):
+        # both boxes have index 5 and contain the probe; the walk reaches
+        # the child slot of "-F--" (49) before that of "F---" (67)
+        first, second = B("-F--F---"), B("F---F---")
+        for inserted in ([first, second], [second, first]):
+            db = BoxDatabase(8)
+            for b in inserted:
+                db.insert(b)
+            q = Box.point(8, 0)
+            assert db.all_containing(q) == [first, second]
+            assert db.smallest_containing(q) == first
+
+    def test_smallest_prefers_shallower_cluster(self):
+        db = BoxDatabase(9, lambda_skip=False)
+        deep = B("FFFFF----")
+        shallow = B("---F-----")
+        db.insert(deep)
+        db.insert(shallow)
+        assert db.smallest_containing(Box.point(9, 0)) == shallow
+        assert db.smallest_containing(B("FFFFFTTTT")) == shallow
+
+    def test_smallest_all_lambda(self):
+        for n in (0, 1, 5):
+            db = BoxDatabase(n)
+            assert db.smallest_containing(Box.point(n, 0)) is None
+            db.insert(Box.all_lambda(n))
+            assert db.smallest_containing(Box.point(n, 0)) == Box.all_lambda(n)
+
+
+class TestWideFormulas:
+    def test_n_5000_without_recursion_error(self):
+        n = 5000
+        rng = random.Random(5000)
+        db = BoxDatabase(n)
+        stored = [random_box(rng, n) for _ in range(3)]
+        for b in stored:
+            db.insert(b)
+        for b in stored:
+            q = specialise(rng, b, point=True)
+            assert db.find_containing(q) == b
+            assert db.smallest_containing(q) == b
+            assert db.all_containing(q) == [b]
+        assert db.find_containing(Box.point(n, 0)) is None
+        assert sorted(map(repr, db.boxes())) == sorted(map(repr, stored))
+        assert len(db.dump().splitlines()) == db.total_set_bits()

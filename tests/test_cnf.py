@@ -16,6 +16,7 @@ from boxsat import (
     parse_dimacs,
     write_dimacs,
 )
+from boxsat.boxes import Trit
 from boxsat.cnf import point_to_literals
 
 from conftest import point_of_assignment, satisfies
@@ -89,6 +90,19 @@ class TestParse:
     def test_duplicate_header(self):
         with pytest.raises(DimacsError):
             parse_dimacs("p cnf 1 0\np cnf 1 0\n")
+
+    def test_non_utf8_bytes_name_their_line(self):
+        with pytest.raises(DimacsError, match="line 2: undecodable"):
+            parse_dimacs(b"p cnf 1 1\nc \xff\n1 0\n")
+
+    def test_non_utf8_text_stream(self):
+        stream = io.TextIOWrapper(io.BytesIO(b"p cnf 1 1\n1 0 \x80\n"), encoding="utf-8")
+        with pytest.raises(DimacsError, match="undecodable"):
+            parse_dimacs(stream)
+
+    def test_utf8_comment_bytes(self):
+        cnf = parse_dimacs("c café\np cnf 1 1\n1 0\n".encode())
+        assert cnf.comments == ["café"]
 
     def test_write_round_trip(self, example1):
         buf = io.StringIO()
@@ -172,6 +186,30 @@ class TestVariableOrder:
         order = VariableOrder([2, 1])
         point = B("TF")  # position 1 (var 2) true, position 2 (var 1) false
         assert point_to_literals(point, order) == (-1, 2)
+
+
+def reference_point_to_literals(point, order):
+    """Literals read trit by trit through the ordering."""
+    return tuple(
+        v if point.trit(order.position_of(v) - 1) is Trit.TRUE else -v
+        for v in range(1, point.n + 1)
+    )
+
+
+class TestPointToLiterals:
+    def test_matches_trit_reference(self):
+        rng = random.Random(71)
+        for n in range(0, 41):
+            order = VariableOrder(rng.sample(range(1, n + 1), n))
+            for _ in range(5):
+                point = Box.point(n, rng.getrandbits(n) if n else 0)
+                assert point_to_literals(point, order) == reference_point_to_literals(
+                    point, order
+                )
+
+    def test_rejects_non_point(self):
+        with pytest.raises(ValueError):
+            point_to_literals(B("T-"), VariableOrder.identity(2))
 
 
 class TestCnfProblem:

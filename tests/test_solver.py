@@ -80,14 +80,6 @@ class TestSelectiveInsertion:
         assert not state.gate_passes(B("TF-"))  # 1/3 wildcard
         assert state.gate_passes(B("T--"))  # 2/3 wildcard
 
-    def test_cluster_gate_variant(self):
-        db = BoxDatabase(8)
-        state = SolverState(
-            8, db, SolverConfig(insertion_ratio=0.5, cluster_gate=True)
-        )
-        assert state.gate_passes(B("TFFT----"))  # one of two clusters all-λ
-        assert not state.gate_passes(B("TFFT--F-"))
-
 
 class TestWalkthrough:
     def test_cache_states_track_the_figures(self):
@@ -175,6 +167,15 @@ class TestRun:
         seen = []
         run(example1, SolverConfig(mode="count"), on_model=seen.append)
         assert sorted(seen) == [(1, -2, 3), (1, 2, -3), (1, 2, 3)]
+
+    def test_streamed_models_are_not_retained(self):
+        # one 16-literal clause rejects only the all-false assignment
+        cnf = CnfProblem(16, [Clause(range(1, 17))])
+        seen = set()
+        result = run(cnf, SolverConfig(mode="enumerate"), on_model=seen.add)
+        assert result.models is None
+        assert result.count == len(seen) == (1 << 16) - 1
+        assert tuple(range(-1, -17, -1)) not in seen
 
     def test_timeout_flag(self):
         result = run(CnfProblem(16, []), SolverConfig(timeout=1e-4))
