@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from .cnf import Clause, CnfProblem
 
@@ -79,6 +79,16 @@ class GraphQuerySpec:
         return [(i, i + 1) for i in range(self.size - 1)]
 
 
+def _decoded(lines: Iterable[str]) -> Iterator[str]:
+    """``lines``, with an undecodable text stream's error as
+    :class:`EdgeListError`; a stream decodes ahead in chunks, so the error
+    names no line."""
+    try:
+        yield from lines
+    except UnicodeDecodeError as exc:
+        raise EdgeListError(f"undecodable input ({exc.encoding}: {exc.reason})") from None
+
+
 def read_edge_list(source: str | Iterable[str]) -> InputGraph:
     """Parse whitespace-separated "u v" lines; '#' lines are comments.
 
@@ -96,7 +106,7 @@ def read_edge_list(source: str | Iterable[str]) -> InputGraph:
             ids[raw] = len(ids)
         return ids[raw]
 
-    for line_no, raw in enumerate(source, start=1):
+    for line_no, raw in enumerate(_decoded(source), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal
 from typing import IO
 
 from .benchgen import (
@@ -23,7 +24,7 @@ from .benchgen import (
 )
 from .cnf import DimacsError, parse_dimacs, write_dimacs
 from .oracle import BRUTE_LIMIT, brute_count
-from .ordering import ORDERING_STRATEGIES, build_order, compute_stats
+from .ordering import ORDERING_STRATEGIES, build_order, compute_stats, free_variables
 from .solver import SolverConfig, run
 
 EXIT_OK = 0
@@ -130,7 +131,8 @@ def _cmd_solve(args, enumerate_models: bool) -> int:
         return EXIT_TIMEOUT
     out.write(f"c loadtime {result.load_seconds:.3f}\n")
     out.write(f"c runtime {result.run_seconds:.3f}\n")
-    out.write(f"s MODELS {result.count}\n")
+    # Decimal prints an int of any size; str() refuses past 4,300 digits
+    out.write(f"s MODELS {Decimal(result.count)}\n")
     if args.verify:
         if cnf.variable_count > BRUTE_LIMIT:
             out.write(f"c verify skipped (n > {BRUTE_LIMIT})\n")
@@ -164,6 +166,9 @@ def _cmd_stats(args) -> int:
     out = sys.stdout
     out.write(f"n {cnf.variable_count}\n")
     out.write(f"m {cnf.clause_count}\n")
+    # variables in no clause: the tail every ordering ends with, which the
+    # sweep widens each model over
+    out.write(f"free {len(free_variables(cnf))}\n")
     histogram: dict[int, int] = {}
     for v in range(1, cnf.variable_count + 1):
         histogram[stats.degree[v]] = histogram.get(stats.degree[v], 0) + 1

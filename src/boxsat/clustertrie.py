@@ -143,6 +143,9 @@ class BoxDatabase:
     ``insert`` is a no-op when some stored box already contains the new one
     (the containment short-circuit); the reverse direction is *not* checked,
     so a newly inserted box may coexist with boxes it subsumes.
+    ``add_uncovered`` stores a box the caller already knows to be uncovered,
+    skipping that check's walk.  ``max_index`` is the largest index of any
+    stored box: no stored box fixes a position after it.
 
     Every walk pops ``(cluster, depth, mask, val)`` entries off an explicit
     stack; ``mask``/``val`` hold the fixed bits of the path to the cluster,
@@ -164,6 +167,7 @@ class BoxDatabase:
         self.lambda_skip = lambda_skip
         self.root = Cluster(0)
         self.box_count = 0
+        self.max_index = 0  # largest index of any stored box
         self.cluster_visits = 0  # clusters whose masks were intersected
         self._tables = build_lookup_tables()
         self._last_depth = last = max(0, (n - 1) // CLUSTER_SPAN)
@@ -226,7 +230,18 @@ class BoxDatabase:
         self._check_length(b)
         if self.find_containing(b) is not None:
             return  # already covered; leave the structure untouched
+        self.add_uncovered(b)
+
+    def add_uncovered(self, b: Box) -> None:
+        """Store ``b`` without the containment check ``insert`` makes first.
+
+        The caller must know that no stored box contains ``b``; otherwise
+        the trie would hold a redundant box.
+        """
+        self._check_length(b)
         k = b.index
+        if k > self.max_index:
+            self.max_index = k
         if k == 0:
             self.root.boxes_mask |= 1  # slot 0: the all-λ box
             self.box_count += 1

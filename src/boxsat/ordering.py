@@ -15,6 +15,7 @@ tie-breaks never depend on float rounding.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -41,14 +42,29 @@ class VariableStats:
         return math.lcm(*denoms) if denoms else 1
 
 
+def _variable_sets(cnf: CnfProblem) -> Counter[tuple[int, ...]]:
+    """Each distinct clause variable set, sorted, with its multiplicity.
+
+    Generated formulas repeat a few clause shapes many times over (a
+    triangle query has thousands of clauses on a handful of variable sets),
+    so the statistics loop once per set instead of once per clause.
+    """
+    return Counter(tuple(sorted(cl.variables())) for cl in cnf.clauses)
+
+
+def free_variables(cnf: CnfProblem) -> list[int]:
+    """Variables that occur in no clause, in increasing order."""
+    used = {abs(l) for l in frozenset().union(*(cl.literals for cl in cnf.clauses))}
+    return [v for v in range(1, cnf.variable_count + 1) if v not in used]
+
+
 def compute_stats(cnf: CnfProblem) -> VariableStats:
     degree = [0] * (cnf.variable_count + 1)
     pair_min: dict[tuple[int, int], int] = {}
-    for cl in cnf.clauses:
-        vs = sorted(cl.variables())
+    for vs, copies in _variable_sets(cnf).items():
         size = len(vs)
         for v in vs:
-            degree[v] += 1
+            degree[v] += copies
         for pair in combinations(vs, 2):
             old = pair_min.get(pair)
             if old is None or size < old:
@@ -76,22 +92,22 @@ def order_naive_degree(cnf: CnfProblem) -> VariableOrder:
 def order_grouped_heuristic(cnf: CnfProblem) -> VariableOrder:
     """Greedy groups of four: seed by degree, grow by closeness to the group."""
     stats = compute_stats(cnf)
-    theta = stats.closeness
+    degree = stats.degree
+    near: dict[int, dict[int, int]] = {}
+    for (u, v), w in _scaled_theta(stats, stats.closeness_scale()).items():
+        near.setdefault(u, {})[v] = w
+        near.setdefault(v, {})[u] = w
     remaining = set(range(1, cnf.variable_count + 1))
     out: list[int] = []
     while len(remaining) >= 4:
-        seed = min(remaining, key=lambda v: (-stats.degree[v], v))
+        seed = min(remaining, key=lambda v: (-degree[v], v))
         group = [seed]
         remaining.discard(seed)
+        closeness: dict[int, int] = {}  # scaled closeness to the group so far
         for _ in range(3):
-            best = min(
-                remaining,
-                key=lambda v: (
-                    -sum(theta(v, g) for g in group),
-                    -stats.degree[v],
-                    v,
-                ),
-            )
+            for u, w in near.get(group[-1], {}).items():
+                closeness[u] = closeness.get(u, 0) + w
+            best = min(remaining, key=lambda v: (-closeness.get(v, 0), -degree[v], v))
             group.append(best)
             remaining.discard(best)
         out.extend(group)
@@ -190,8 +206,7 @@ def _optimal_groups_vectorized(stats: VariableStats, scale: int) -> list[tuple[i
 
 def _primal_graph(cnf: CnfProblem) -> dict[int, set[int]]:
     adj: dict[int, set[int]] = {v: set() for v in range(1, cnf.variable_count + 1)}
-    for cl in cnf.clauses:
-        vs = sorted(cl.variables())
+    for vs in _variable_sets(cnf):
         for u, v in combinations(vs, 2):
             adj[u].add(v)
             adj[v].add(u)
@@ -250,4 +265,8 @@ def build_order(cnf: CnfProblem, strategy: str) -> VariableOrder:
         raise ValueError(
             f"unknown ordering {strategy!r}; choose from {sorted(ORDERING_STRATEGIES)}"
         ) from None
-    return fn(cnf)
+    # The sweep widens each model over the trailing positions no clause
+    # fixes, so variables in no clause go last, whatever the strategy.
+    seq = fn(cnf).as_sequence()
+    free = set(free_variables(cnf))
+    return VariableOrder([v for v in seq if v not in free] + [v for v in seq if v in free])

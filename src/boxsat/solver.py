@@ -13,6 +13,17 @@ probe walks off the end of the space.
 Resolved boxes enter the cache only when their λ fraction reaches the
 configured insertion ratio; caching everything bloats the trie faster than
 it saves probe work.
+
+Free-tail widening: let f be the number of trailing positions that no
+stored clause box fixes (n minus the database's largest box index; the
+orderings put variables that occur in no clause last, so f counts at least
+those).  A double miss then counts the whole model box M, the probe with its
+last f positions set to λ, as 2^f models, streams its points in sweep
+order, and caches, advances past and cascades M in place of the probe.
+This is sound because no stored box fixes a tail position, so a box meets M
+only if it contains the probe, and the probe missed them all.  Every box
+the sweep handles has index at most n - f, so every advance clears the last
+f bits and every probe is the first point of its M.
 """
 
 from __future__ import annotations
@@ -122,11 +133,13 @@ class SolverState:
         self.trace = trace
         self.covered = False
         self.exhausted = False
+        self.timed_out = False
+        self.deadline: float | None = None  # set by run_loop
         self.iterations = 0
 
     @property
     def done(self) -> bool:
-        return self.covered or self.exhausted
+        return self.covered or self.exhausted or self.timed_out
 
     def gate_passes(self, r: Box) -> bool:
         """Selective insertion: enough of the box must be wildcards."""
@@ -135,7 +148,12 @@ class SolverState:
     def _cache_insert(self, box: Box, source: str) -> None:
         if self.trace is not None:
             self.trace.cache_inserts.append((box, source))
-        self.cache.insert(box)
+        if source == "resolution":
+            self.cache.insert(box)
+        else:
+            # the probe missed the cache, and this box holds the probe, so no
+            # cache box can contain it
+            self.cache.add_uncovered(box)
         if box.mask == 0:
             self.covered = True
 
@@ -166,6 +184,29 @@ class SolverState:
             if self.gate_passes(cur):
                 self._cache_insert(cur, "resolution")
 
+    def _count_models(self, m: Box) -> bool:
+        """Add the model box ``m``'s points to the count and stream them in
+        sweep order.  Returns False, counting only the points already
+        streamed, if the deadline passes part-way."""
+        size = 1 << m.lambda_count
+        models, on_model, deadline = self.models, self.on_model, self.deadline
+        if models is None and on_model is None:
+            self.model_count += size
+            return True
+        n, full = self.n, (1 << self.n) - 1
+        for t in range(size):
+            if t and not t & 255 and deadline is not None and time.perf_counter() > deadline:
+                self.model_count += t
+                self.timed_out = True
+                return False
+            point = Box(n, full, m.val | t)
+            if models is not None:
+                models.append(point)
+            if on_model is not None:
+                on_model(point)
+        self.model_count += size
+        return True
+
     def step(self) -> bool:
         """One sweep iteration; returns False once the run is finished."""
         if self.done:
@@ -182,13 +223,14 @@ class SolverState:
                 self._cache_insert(b, "database")
             else:
                 source = "model"
-                self.model_count += 1
-                if self.models is not None:
-                    self.models.append(p)
-                if self.on_model is not None:
-                    self.on_model(p)
-                b = p
-                self._cache_insert(p, "model")
+                # Widen p over the free tail: no stored box fixes a position
+                # past the database's largest index, so none meets the box
+                # without containing p, and every point in it is a new model.
+                tail = (1 << (self.n - self.database.max_index)) - 1
+                b = Box(self.n, p.mask & ~tail, p.val)
+                if not self._count_models(b):
+                    return False
+                self._cache_insert(b, "model")
         nxt = advance(b, p)
         if nxt is None:
             self.exhausted = True
@@ -218,15 +260,17 @@ class SolverState:
 
     def run_loop(self, deadline: float | None = None) -> bool:
         """Run to completion; returns True if the deadline cut it short."""
+        self.deadline = deadline
         while not self.done:
             self.step()
             if (
                 deadline is not None
                 and self.iterations % 256 == 0
+                and not self.done
                 and time.perf_counter() > deadline
             ):
-                return not self.done
-        return False
+                self.timed_out = True
+        return self.timed_out
 
 
 def build_database(

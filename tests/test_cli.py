@@ -2,6 +2,7 @@ import contextlib
 import io
 import random
 import sys
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -81,10 +82,20 @@ class TestCount:
 
     def test_timeout(self, tmp_path, capsys):
         big = tmp_path / "big.cnf"
-        big.write_text("p cnf 18 0\n")
+        big.write_text("p cnf 18 1\n" + " ".join(map(str, range(1, 19))) + " 0\n")
         code = main(["count", str(big), "--timeout", "0.0001"])
         assert code == EXIT_TIMEOUT
         assert "s MODELS" not in capsys.readouterr().out
+
+    def test_count_of_any_size_is_printed_exactly(self, tmp_path, capsys):
+        # one unit clause over 15,000 variables: 2^14999 models, 4,516 digits
+        path = tmp_path / "wide.cnf"
+        path.write_text("p cnf 15000 1\n1 0\n")
+        assert main(["count", str(path), "--ordering", "naive-degree"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        digits = next(l for l in lines if l.startswith("s MODELS ")).split()[2]
+        assert len(digits) == 4516 and digits.isdigit()
+        assert Decimal(digits) == Decimal(1 << 14999)
 
     def test_determinism(self, example1_path, capsys):
         main(["enumerate", example1_path])
@@ -141,6 +152,11 @@ class TestParseErrors:
     def test_bad_edge_list(self, tmp_path):
         bad = tmp_path / "bad.edges"
         bad.write_text("0 zebra\n")
+        assert main(["gen", str(bad), "--query", "clique", "--size", "3"]) == EXIT_PARSE
+
+    def test_non_utf8_edge_list(self, tmp_path):
+        bad = tmp_path / "bad.edges"
+        bad.write_bytes(b"0 1\n\xff\xfe 2\n")
         assert main(["gen", str(bad), "--query", "clique", "--size", "3"]) == EXIT_PARSE
 
     def test_non_utf8_comment(self, tmp_path):
@@ -214,3 +230,11 @@ class TestStats:
         assert lines[1] == "m 3"
         assert any(l.startswith("degree ") for l in lines)
         assert lines[-1] == "ordering naive-degree 2 1 3"
+
+    def test_free_variables(self, tmp_path, capsys):
+        path = tmp_path / "free.cnf"
+        path.write_text("p cnf 8 2\n1 2 0\n-2 3 0\n")
+        assert main(["stats", str(path), "--ordering", "minfill"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert "free 5" in lines
+        assert lines[-1].endswith(" 4 5 6 7 8")

@@ -112,6 +112,23 @@ class TestInsert:
     def test_length_mismatch(self):
         with pytest.raises(BoxError):
             BoxDatabase(3).insert(B("F-"))
+        with pytest.raises(BoxError):
+            BoxDatabase(3).add_uncovered(B("F-"))
+
+    def test_add_uncovered_matches_insert_and_tracks_max_index(self):
+        # on a box no stored box contains, the unchecked store builds the
+        # same structure as insert; max_index follows every stored box
+        rng = random.Random(21)
+        for n in (1, 4, 9, 17):
+            checked, unchecked = BoxDatabase(n), BoxDatabase(n)
+            for _ in range(40):
+                b = random_box(rng, n)
+                if unchecked.find_containing(b) is None:
+                    unchecked.add_uncovered(b)
+                checked.insert(b)
+                assert checked.dump() == unchecked.dump()
+                stored = [box.index for box in unchecked.boxes()]
+                assert unchecked.max_index == checked.max_index == max(stored, default=0)
 
     def test_deep_box_creates_path(self):
         db = BoxDatabase(8)

@@ -204,3 +204,80 @@ class TestStrategyContracts:
             for name in ORDERING_STRATEGIES:
                 got = run(problem, SolverConfig(ordering=name)).count
                 assert got == want
+
+
+def reference_stats(problem):
+    """Degrees and smallest co-clause sizes, one clause at a time."""
+    degree = [0] * (problem.variable_count + 1)
+    pair_min = {}
+    for cl in problem.clauses:
+        vs = sorted({abs(l) for l in cl.literals})
+        for v in vs:
+            degree[v] += 1
+        for pair in combinations(vs, 2):
+            pair_min[pair] = min(pair_min.get(pair, len(vs)), len(vs))
+    return degree, pair_min
+
+
+def reference_grouped_heuristic(problem):
+    """The greedy grouping with exact Fraction closeness sums."""
+    degree, pair_min = reference_stats(problem)
+
+    def theta(u, v):
+        size = pair_min.get((min(u, v), max(u, v)))
+        return Fraction(0) if size is None else Fraction(1, size - 1)
+
+    remaining = set(range(1, problem.variable_count + 1))
+    out = []
+    while len(remaining) >= 4:
+        group = [min(remaining, key=lambda v: (-degree[v], v))]
+        remaining.discard(group[0])
+        for _ in range(3):
+            best = min(
+                remaining,
+                key=lambda v: (-sum(theta(v, g) for g in group), -degree[v], v),
+            )
+            group.append(best)
+            remaining.discard(best)
+        out.extend(group)
+    out.extend(sorted(remaining, key=lambda v: (-degree[v], v)))
+    return tuple(out)
+
+
+class TestAgainstPerClauseReference:
+    def test_stats_and_grouped_heuristic(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            n = rng.randint(1, 20)
+            problem = random_cnf(rng, n, rng.randint(0, 4 * n), width_hi=rng.randint(1, 6))
+            # repeated clause shapes are what the statistics fold together
+            problem.clauses += rng.sample(problem.clauses, len(problem.clauses) // 2)
+            degree, pair_min = reference_stats(problem)
+            stats = compute_stats(problem)
+            assert stats.degree == degree
+            assert stats.pair_min_size == pair_min
+            got = order_grouped_heuristic(problem).as_sequence()
+            assert got == reference_grouped_heuristic(problem)
+
+
+class TestFreeVariablesLast:
+    def test_elimination_orders(self):
+        # minimum degree and minimum fill would eliminate 4..8 first
+        problem = cnf(8, [1, 2], [-2, 3])
+        for name in ("minfill", "treewidth"):
+            assert build_order(problem, name).as_sequence()[3:] == (4, 5, 6, 7, 8)
+
+    def test_every_strategy_ends_with_free_variables(self):
+        rng = random.Random(17)
+        for _ in range(10):
+            n = rng.randint(1, 24)
+            # variables past the random formula's range occur in no clause
+            clauses = random_cnf(rng, rng.randint(1, n), rng.randint(0, 2 * n)).clauses
+            problem = CnfProblem(n, clauses)
+            used = {abs(l) for c in problem.clauses for l in c.literals}
+            for name, strategy in ORDERING_STRATEGIES.items():
+                seq = build_order(problem, name).as_sequence()
+                k = len(used)
+                assert set(seq[:k]) == used, name
+                # the clause variables keep the strategy's relative order
+                assert seq[:k] == tuple(v for v in strategy(problem).as_sequence() if v in used)

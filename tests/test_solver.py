@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from boxsat import Box, BoxDatabase, Clause, CnfProblem, SolverConfig, parse_dimacs, run
+from boxsat import (
+    ORDERING_STRATEGIES,
+    Box,
+    BoxDatabase,
+    Clause,
+    CnfProblem,
+    SolverConfig,
+    parse_dimacs,
+    run,
+)
 from boxsat.boxes import BoxError, Trit
 from boxsat.solver import SolverState, SweepTrace, advance
 from boxsat.oracle import brute_count, brute_models
@@ -178,7 +187,7 @@ class TestRun:
         assert tuple(range(-1, -17, -1)) not in seen
 
     def test_timeout_flag(self):
-        result = run(CnfProblem(16, []), SolverConfig(timeout=1e-4))
+        result = run(CnfProblem(16, [Clause(range(1, 17))]), SolverConfig(timeout=1e-4))
         assert result.timed_out
         assert result.count < 1 << 16
 
@@ -237,7 +246,11 @@ class TestSweepInvariants:
                     if source == "database":
                         assert repr(box) in stored_in_db
                     if source == "model":
-                        assert box.is_point
+                        # the probe widened over the positions no stored
+                        # clause box fixes; a point when there are none
+                        p = trace.steps[-1][0]
+                        tail = (1 << (cnf.variable_count - db.max_index)) - 1
+                        assert box == Box(cnf.variable_count, p.mask & ~tail, p.val)
                     # soundness: no uncounted model point may be covered
                     for bits in range(1 << cnf.variable_count):
                         point = Box.point(cnf.variable_count, bits)
@@ -274,3 +287,72 @@ class TestSweepInvariants:
             pass
         assert silent.model_count == 3
         assert silent.done
+
+
+def padded_cnf(rng: random.Random, k: int, free: int) -> tuple[CnfProblem, CnfProblem]:
+    """A random CNF on k variables, and the same formula with ``free``
+    clause-free variables added, its clause variables scattered over the
+    wider range."""
+    core = random_cnf(rng, k, rng.randint(1, 3 * k))
+    spread = dict(zip(range(1, k + 1), rng.sample(range(1, k + free + 1), k)))
+    wide = CnfProblem(
+        k + free,
+        [Clause(spread[abs(l)] * (1 if l > 0 else -1) for l in c.literals) for c in core.clauses],
+    )
+    return core, wide
+
+
+class TestFreeTailWidening:
+    def test_counts_match_brute_force_times_free_factor(self):
+        rng = random.Random(71)
+        for _ in range(8):
+            core, wide = padded_cnf(rng, rng.randint(1, 10), rng.randint(0, 50))
+            want = brute_count(core) << (wide.variable_count - core.variable_count)
+            for name in ORDERING_STRATEGIES:
+                assert run(wide, SolverConfig(ordering=name)).count == want, name
+
+    def test_enumeration_matches_brute_force_in_sweep_order(self):
+        from boxsat.ordering import build_order
+        from boxsat.solver import build_database
+
+        rng = random.Random(72)
+        for _ in range(12):
+            k = rng.randint(1, 10)
+            _, wide = padded_cnf(rng, k, rng.randint(0, 14 - k))
+            for name in ORDERING_STRATEGIES:
+                result = run(wide, SolverConfig(ordering=name, mode="enumerate"))
+                assert len(set(result.models)) == len(result.models) == result.count
+                assert sorted(result.models) == sorted(brute_models(wide))
+
+                order = build_order(wide, name)
+                streamed = []
+                db = build_database(wide, order)
+                state = SolverState(wide.variable_count, db, SolverConfig(ordering=name),
+                                    on_model=streamed.append)
+                state.run_loop()
+                ranks = [m.val for m in streamed]
+                assert all(m.is_point for m in streamed)
+                assert ranks == sorted(set(ranks))
+                assert len(ranks) == state.model_count == result.count
+
+    def test_large_count_in_few_iterations(self):
+        result = run(CnfProblem(60, [Clause([1, 2])]))
+        assert result.count == 3 << 58
+        assert result.iterations <= 4
+
+    def test_no_clauses_is_one_step(self):
+        result = run(CnfProblem(30, []))
+        assert result.count == 1 << 30
+        assert result.iterations == 1
+
+    def test_enumeration_timeout_inside_one_step(self):
+        # one unit clause leaves 39 free variables: the first model step
+        # alone would stream 2^39 models
+        seen = []
+        result = run(
+            CnfProblem(40, [Clause([1])]),
+            SolverConfig(mode="enumerate", timeout=0.2),
+            on_model=seen.append,
+        )
+        assert result.timed_out
+        assert 0 < result.count == len(seen) < 1 << 39
