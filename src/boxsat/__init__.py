@@ -19,7 +19,7 @@ from .cnf import (
     write_dimacs,
 )
 from .ordering import ORDERING_STRATEGIES, build_order, compute_stats, interconnectedness
-from .solver import SolveResult, SolverConfig, SolverState, advance, run, solve_boxes
+from .solver import SolveResult, SolverConfig, SolverState, advance, run
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,6 @@ __all__ = [
     "parse_dimacs",
     "resolve",
     "run",
-    "solve_boxes",
     "subbox_rank",
     "tail_resolvable",
     "write_dimacs",

@@ -132,7 +132,6 @@ def generate_cnf(
     graph: InputGraph,
     query: GraphQuerySpec,
     max_variables: int = 64,
-    simplify: bool = False,
 ) -> CnfProblem:
     """Encode the query over ``graph`` as CNF whose model count equals the
     number of matches."""
@@ -182,9 +181,6 @@ def generate_cnf(
         for w in range(v_count, 1 << bits):
             clauses.append(Clause(slot_literals(slot, w)))
 
-    if simplify:
-        clauses = _simplify_clauses(clauses)
-
     comments = [
         f"query {query.kind} size={k}",
         f"graph vertices={v_count} edges={len(graph.edges)}",
@@ -194,36 +190,6 @@ def generate_cnf(
         " consecutive slots distinct",
     ]
     return CnfProblem(n, clauses, comments)
-
-
-def _simplify_clauses(clauses: list[Clause]) -> list[Clause]:
-    """Merge clause pairs differing in exactly one literal's polarity until
-    no merge applies.  Preserves the model set exactly."""
-    current = {cl.literals for cl in clauses}
-    changed = True
-    while changed:
-        changed = False
-        by_vars: dict[frozenset[int], list[frozenset[int]]] = {}
-        for lits in current:
-            by_vars.setdefault(frozenset(abs(l) for l in lits), []).append(lits)
-        for group in by_vars.values():
-            if len(group) < 2:
-                continue
-            group.sort(key=lambda ls: sorted(ls))
-            merged = None
-            for a, b in combinations(group, 2):
-                diff = a ^ b
-                if len(diff) == 2 and len({abs(l) for l in diff}) == 1:
-                    merged = (a, b, a & b)
-                    break
-            if merged is not None:
-                a, b, rest = merged
-                current.discard(a)
-                current.discard(b)
-                current.add(rest)
-                changed = True
-                break
-    return [Clause(lits) for lits in sorted(current, key=lambda ls: sorted(ls, key=abs))]
 
 
 def hidden_solution_blocks(

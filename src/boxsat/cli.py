@@ -92,11 +92,6 @@ def build_parser() -> _Parser:
     gen.add_argument("--size", required=True, type=_size, metavar="K")
     gen.add_argument("--out", default="-", help="output CNF path (default stdout)")
     gen.add_argument("--max-vars", type=int, default=64)
-    gen.add_argument(
-        "--simplify",
-        action="store_true",
-        help="merge clause pairs differing in one polarity before writing",
-    )
 
     stats = sub.add_parser("stats", help="print instance statistics")
     stats.add_argument("input", help="DIMACS CNF file, or - for stdin")
@@ -149,7 +144,7 @@ def _cmd_gen(args) -> int:
     with _open_input(args.input) as fh:
         graph = read_edge_list(fh)
     query = GraphQuerySpec(args.query, args.size)
-    cnf = generate_cnf(graph, query, max_variables=args.max_vars, simplify=args.simplify)
+    cnf = generate_cnf(graph, query, max_variables=args.max_vars)
     if args.out == "-":
         write_dimacs(cnf, sys.stdout)
     else:

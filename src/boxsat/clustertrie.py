@@ -128,13 +128,12 @@ def build_lookup_tables() -> LookupTables:
 
 
 class Cluster:
-    __slots__ = ("boxes_mask", "children_mask", "children", "depth")
+    __slots__ = ("boxes_mask", "children_mask", "children")
 
-    def __init__(self, depth: int):
+    def __init__(self):
         self.boxes_mask = 0
         self.children_mask = 0
         self.children: dict[int, Cluster] = {}
-        self.depth = depth
 
 
 class BoxDatabase:
@@ -165,7 +164,7 @@ class BoxDatabase:
             raise BoxError("negative variable count")
         self.n = n
         self.lambda_skip = lambda_skip
-        self.root = Cluster(0)
+        self.root = Cluster()
         self.box_count = 0
         self.max_index = 0  # largest index of any stored box
         self.cluster_visits = 0  # clusters whose masks were intersected
@@ -254,7 +253,7 @@ class BoxDatabase:
             slot = ranks[((mask >> shift) & width) << 4 | ((val >> shift) & width)]
             child = cluster.children.get(slot)
             if child is None:
-                child = Cluster(d + 1)
+                child = Cluster()
                 cluster.children[slot] = child
                 cluster.children_mask |= 1 << slot
             cluster = child

@@ -8,6 +8,7 @@ trie.  The test suite checks the fast paths against these, and the CLI's
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -88,6 +89,49 @@ def resolve_clauses(c1: Clause, c2: Clause) -> Clause:
         [l for l in c1.literals if abs(l) != p]
         + [l for l in c2.literals if abs(l) != p]
     )
+
+
+def grouped_optimal_groups(cnf: CnfProblem) -> list[tuple[int, ...]]:
+    """The groups the grouped-optimal ordering takes, by exhaustive scan.
+
+    Closeness of two variables is 1/(size of the smallest clause holding
+    both - 1), as an exact fraction.  Each round takes, among all 4-subsets
+    of the variables not yet grouped, the one with the largest closeness sum
+    over its six pairs, then the largest degree sum (clauses per variable),
+    then the lexicographically smallest sorted tuple.
+    """
+    n = cnf.variable_count
+    degree = [0] * (n + 1)
+    smallest: dict[tuple[int, int], int] = {}
+    for cl in cnf.clauses:
+        vs = sorted({abs(l) for l in cl.literals})
+        for v in vs:
+            degree[v] += 1
+        for pair in combinations(vs, 2):
+            smallest[pair] = min(smallest.get(pair, len(vs)), len(vs))
+    closeness = {pair: Fraction(1, size - 1) for pair, size in smallest.items()}
+
+    def key(group: tuple[int, ...]):
+        together = sum(closeness.get(pair, 0) for pair in combinations(group, 2))
+        return -together, -sum(degree[v] for v in group), group
+
+    # Exact sums over all C(n, 4) subsets take seconds at n = 45, so each
+    # round ranks by float sums first.  A float sum of six closeness values
+    # is off by under 1e-14, so every subset whose exact sum is the largest
+    # lies within 1e-9 of the largest float sum; exact keys decide among those.
+    approx = {pair: float(c) for pair, c in closeness.items()}
+    scored = [
+        (sum(approx.get(pair, 0.0) for pair in combinations(group, 2)), group)
+        for group in combinations(range(1, n + 1), 4)
+    ]
+    groups = []
+    while scored:
+        top = max(f for f, _ in scored)
+        best = min((g for f, g in scored if f >= top - 1e-9), key=key)
+        groups.append(best)
+        taken = set(best)
+        scored = [(f, g) for f, g in scored if taken.isdisjoint(g)]
+    return groups
 
 
 def count_subgraphs(graph: InputGraph, query: GraphQuerySpec) -> int:

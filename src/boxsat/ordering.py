@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable
 
 from .cnf import CnfProblem, VariableOrder
@@ -115,7 +115,10 @@ def order_grouped_heuristic(cnf: CnfProblem) -> VariableOrder:
     return VariableOrder(out)
 
 
-_NUMPY_GROUP_THRESHOLD = 28
+# grouped-optimal holds every 4-subset of the variables at once.  The cap
+# admits n <= 71; there the ordering peaks about 80 MB above the rest of the
+# process with int64 weights, and 140 MB with Python-int ones.
+MAX_GROUP_SUBSETS = 1_000_000
 
 
 def order_grouped_optimal(cnf: CnfProblem) -> VariableOrder:
@@ -123,68 +126,38 @@ def order_grouped_optimal(cnf: CnfProblem) -> VariableOrder:
     repeatedly take the one with maximal interconnectedness (ties: larger
     degree sum, then lexicographically smaller variable tuple).
 
-    Enumerates every 4-subset each round, so only viable for modest n; large
-    inputs go through a vectorized scan with exact integer weights.
+    One vectorized scan with exact integer weights; it holds every 4-subset
+    in memory at once, so it raises ``ValueError`` when there are more than
+    ``MAX_GROUP_SUBSETS`` of them.
     """
-    stats = compute_stats(cnf)
     n = cnf.variable_count
+    subsets = math.comb(n, 4)
+    if subsets > MAX_GROUP_SUBSETS:
+        raise ValueError(
+            f"grouped-optimal needs all C({n}, 4) = {subsets:,} 4-subsets of the "
+            f"variables, above its cap of {MAX_GROUP_SUBSETS:,}; choose another ordering"
+        )
+    import numpy as np  # not at module level: most runs never group optimally
+
+    stats = compute_stats(cnf)
     scale = stats.closeness_scale()
-    if n >= _NUMPY_GROUP_THRESHOLD and scale * 6 < 2**62:
-        groups = _optimal_groups_vectorized(stats, scale)
-    else:
-        groups = _optimal_groups_scan(stats, scale)
-    out: list[int] = []
-    used: set[int] = set()
-    for group in groups:
-        out.extend(_degree_descent(group, stats))
-        used.update(group)
-    leftover = [v for v in range(1, n + 1) if v not in used]
-    out.extend(_degree_descent(leftover, stats))
-    return VariableOrder(out)
+    # an interconnectedness sums six weights of at most ``scale``; past int64
+    # the same code runs on Python ints
+    theta = np.zeros((n + 1, n + 1), dtype=np.int64 if 6 * scale < 2**63 else object)
+    for (u, v), w in _scaled_theta(stats, scale).items():
+        theta[u, v] = theta[v, u] = w
+    degree = np.array(stats.degree, dtype=np.int64)
 
-
-def _scaled_theta(stats: VariableStats, scale: int) -> dict[tuple[int, int], int]:
-    return {pair: scale // (s - 1) for pair, s in stats.pair_min_size.items()}
-
-
-def _optimal_groups_scan(stats: VariableStats, scale: int) -> list[tuple[int, ...]]:
-    theta = _scaled_theta(stats, scale)
-    degree = stats.degree
-    remaining = list(range(1, stats.n + 1))
-    groups = []
-    while len(remaining) >= 4:
-        best_key = None
-        best_group = None
-        for g in combinations(remaining, 4):
-            ic = sum(theta.get(p, 0) for p in combinations(g, 2))
-            key = (-ic, -(degree[g[0]] + degree[g[1]] + degree[g[2]] + degree[g[3]]), g)
-            if best_key is None or key < best_key:
-                best_key, best_group = key, g
-        groups.append(best_group)
-        remaining = [v for v in remaining if v not in best_group]
-    return groups
-
-
-def _optimal_groups_vectorized(stats: VariableStats, scale: int) -> list[tuple[int, ...]]:
-    import numpy as np
-
-    n = stats.n
-    theta = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for (u, v), s in stats.pair_min_size.items():
-        theta[u, v] = theta[v, u] = scale // (s - 1)
-    degree = np.zeros(n + 1, dtype=np.int64)
-    degree[1:] = stats.degree[1:]
-
-    combos = np.array(list(combinations(range(1, n + 1), 4)), dtype=np.int64)
+    flat = chain.from_iterable(combinations(range(1, n + 1), 4))
+    combos = np.fromiter(flat, dtype=np.int64, count=4 * subsets).reshape(-1, 4)
     a, b, c, d = combos.T
     ic = theta[a, b] + theta[a, c] + theta[a, d] + theta[b, c] + theta[b, d] + theta[c, d]
     degsum = degree[a] + degree[b] + degree[c] + degree[d]
 
     alive = np.ones(n + 1, dtype=bool)
     alive[0] = False
-    remaining = n
-    groups = []
-    while remaining >= 4:
+    out: list[int] = []
+    for _ in range(n // 4):
         valid = alive[combos].all(axis=1)
         ics = np.where(valid, ic, -1)
         best_ic = ics.max()
@@ -193,12 +166,15 @@ def _optimal_groups_vectorized(stats: VariableStats, scale: int) -> list[tuple[i
         cand &= ds == ds.max()
         rows = combos[np.nonzero(cand)[0]]
         # lexicographically smallest variable tuple among the tied rows
-        first = rows[np.lexsort(rows.T[::-1])[0]]
-        group = tuple(int(v) for v in first)
-        groups.append(group)
-        alive[list(group)] = False
-        remaining -= 4
-    return groups
+        group = [int(v) for v in rows[np.lexsort(rows.T[::-1])[0]]]
+        out.extend(_degree_descent(group, stats))
+        alive[group] = False
+    out.extend(_degree_descent(np.nonzero(alive)[0].tolist(), stats))
+    return VariableOrder(out)
+
+
+def _scaled_theta(stats: VariableStats, scale: int) -> dict[tuple[int, int], int]:
+    return {pair: scale // (s - 1) for pair, s in stats.pair_min_size.items()}
 
 
 # -- elimination orderings on the primal graph ----------------------------

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from .boxes import Box, BoxError, Trit, resolve, tail_resolvable
 from .clustertrie import BoxDatabase
@@ -259,17 +259,21 @@ class SolverState:
         return not self.done
 
     def run_loop(self, deadline: float | None = None) -> bool:
-        """Run to completion; returns True if the deadline cut it short."""
+        """Run to completion; returns True if the deadline cut it short.
+
+        The deadline is checked before the first step and every 256 steps,
+        so one already past stops the run with no step taken.
+        """
         self.deadline = deadline
         while not self.done:
-            self.step()
             if (
                 deadline is not None
                 and self.iterations % 256 == 0
-                and not self.done
                 and time.perf_counter() > deadline
             ):
                 self.timed_out = True
+                break
+            self.step()
         return self.timed_out
 
 
@@ -282,23 +286,6 @@ def build_database(
     return db
 
 
-def solve_boxes(
-    boxes: Iterable[Box],
-    n: int,
-    config: SolverConfig | None = None,
-    on_model: Callable[[Box], None] | None = None,
-    trace: SweepTrace | None = None,
-) -> SolverState:
-    """Sweep a raw box set (no ordering applied); returns the final state."""
-    config = config or SolverConfig()
-    db = BoxDatabase(n, lambda_skip=config.lambda_skip)
-    for b in boxes:
-        db.insert(b)
-    state = SolverState(n, db, config, on_model=on_model, trace=trace)
-    state.run_loop()
-    return state
-
-
 def run(
     cnf: CnfProblem,
     config: SolverConfig | None = None,
@@ -308,11 +295,14 @@ def run(
     """Count (or enumerate) the models of ``cnf``.
 
     Load time covers ordering and database construction; run time covers the
-    sweep itself.  Models stream through ``on_model`` as signed-literal
-    tuples in the original variable numbering.
+    sweep itself.  ``config.timeout`` bounds all three: the sweep stops at
+    its next deadline check once that long has passed since the call.
+    Models stream through ``on_model`` as signed-literal tuples in the
+    original variable numbering.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
+    deadline = None if config.timeout is None else t0 + config.timeout
     order = build_order(cnf, config.ordering)
     database = build_database(cnf, order, lambda_skip=config.lambda_skip)
     load_seconds = time.perf_counter() - t0
@@ -323,7 +313,6 @@ def run(
 
     t1 = time.perf_counter()
     state = SolverState(cnf.variable_count, database, config, on_model=emit, trace=trace)
-    deadline = None if config.timeout is None else t1 + config.timeout
     timed_out = state.run_loop(deadline)
     run_seconds = time.perf_counter() - t1
 

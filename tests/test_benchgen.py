@@ -141,29 +141,6 @@ class TestGenerateCnf:
         assert run(cnf).count == 1  # the single triangle
 
 
-class TestSimplify:
-    def test_correctness_neutral(self):
-        rng = random.Random(10)
-        for _ in range(6):
-            g = random_graph(rng, rng.randint(3, 10), 0.5)
-            if g.vertex_count < 2:
-                continue
-            query = GraphQuerySpec("clique", 3)
-            plain = generate_cnf(g, query)
-            slim = generate_cnf(g, query, simplify=True)
-            assert slim.clause_count <= plain.clause_count
-            assert brute_count(plain) == brute_count(slim)
-            assert run(plain).count == run(slim).count
-
-    def test_merges_polarity_pair(self):
-        # clauses x1|x2 and x1|-x2 collapse to the unit clause x1
-        from boxsat.benchgen import _simplify_clauses
-        from boxsat import Clause
-
-        merged = _simplify_clauses([Clause([1, 2]), Clause([1, -2])])
-        assert [sorted(c.literals) for c in merged] == [[1]]
-
-
 class TestCountOracleAgreement:
     def test_random_graphs_triangles_and_paths(self):
         rng = random.Random(2026)

@@ -142,6 +142,16 @@ class TestUsageErrors:
     def test_gen_size_too_small(self, fig10_path):
         assert main(["gen", fig10_path, "--query", "path", "--size", "1"]) == EXIT_USAGE
 
+    def test_grouped_optimal_over_the_cap(self, tmp_path, capsys):
+        # n = 72 is the first size over the cap
+        path = tmp_path / "wide.cnf"
+        path.write_text("p cnf 72 1\n1 2 0\n")
+        assert main(["count", str(path), "--ordering", "grouped-optimal"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: grouped-optimal needs all C(72, 4) = 1,028,790 ")
+        assert "cap of 1,000,000" in err
+        assert "Traceback" not in err
+
 
 class TestParseErrors:
     def test_bad_cnf(self, tmp_path):

@@ -7,15 +7,13 @@ import pytest
 from boxsat import Clause, CnfProblem, build_order, compute_stats, interconnectedness
 from boxsat.ordering import (
     ORDERING_STRATEGIES,
-    _optimal_groups_scan,
-    _optimal_groups_vectorized,
     order_grouped_heuristic,
     order_grouped_optimal,
     order_minfill,
     order_naive_degree,
     order_treewidth,
 )
-from boxsat.oracle import brute_count
+from boxsat.oracle import brute_count, grouped_optimal_groups
 from boxsat.solver import SolverConfig, run
 
 from conftest import random_cnf
@@ -94,13 +92,15 @@ class TestGroupedOptimal:
 
     def test_scan_and_vectorized_agree(self):
         rng = random.Random(77)
-        for _ in range(12):
-            problem = random_cnf(rng, rng.randint(5, 12), rng.randint(3, 25))
-            stats = compute_stats(problem)
-            scale = stats.closeness_scale()
-            assert _optimal_groups_scan(stats, scale) == _optimal_groups_vectorized(
-                stats, scale
-            )
+        problems = [random_cnf(rng, rng.randint(5, 12), rng.randint(3, 25)) for _ in range(12)]
+        problems += [CnfProblem(n, [Clause([v]) for v in range(1, n + 1)]) for n in range(4)]
+        # closeness denominators 1..44: scaled weights overflow int64
+        problems.append(CnfProblem(45, [Clause(range(1, s + 1)) for s in range(2, 46)]))
+        for problem in problems:
+            scan = grouped_optimal_groups(problem)
+            seq = order_grouped_optimal(problem).as_sequence()
+            vectorized = [tuple(sorted(seq[i : i + 4])) for i in range(0, 4 * len(scan), 4)]
+            assert scan == vectorized
 
 
 class TestGroupedHeuristic:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -190,6 +191,20 @@ class TestRun:
         result = run(CnfProblem(16, [Clause(range(1, 17))]), SolverConfig(timeout=1e-4))
         assert result.timed_out
         assert result.count < 1 << 16
+
+    def test_timeout_counts_the_ordering(self, example1, monkeypatch):
+        import boxsat.solver as solver
+
+        real = solver.build_order
+
+        def slow_build_order(cnf, strategy):
+            time.sleep(0.1)
+            return real(cnf, strategy)
+
+        monkeypatch.setattr(solver, "build_order", slow_build_order)
+        result = run(example1, SolverConfig(timeout=0.05))
+        assert result.timed_out
+        assert result.iterations == 0 and result.count == 0
 
 
 class TestSweepInvariants:
