@@ -116,8 +116,10 @@ def _cmd_solve(args, enumerate_models: bool) -> int:
     out = sys.stdout
     emit = None
     if enumerate_models:
+        line = "v" + " %d" * cnf.variable_count + " 0\n"
+
         def emit(literals):
-            out.write("v " + " ".join(str(l) for l in literals) + " 0\n")
+            out.write(line % literals)
             out.flush()
 
     result = run(cnf, config, on_model=emit)
@@ -197,6 +199,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        # a header may declare more variables than per-variable tables fit
+        print("error: out of memory (the formula is too large to solve here)", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:
         sys.stdout.flush()

@@ -90,21 +90,33 @@ def order_naive_degree(cnf: CnfProblem) -> VariableOrder:
 
 
 def order_grouped_heuristic(cnf: CnfProblem) -> VariableOrder:
-    """Greedy groups of four: seed by degree, grow by closeness to the group."""
+    """Greedy groups of four: seed by degree, grow by closeness to the group.
+
+    Variables in no clause have degree 0 and closeness 0 to everything, so
+    they lose every choice while a clause variable is left.  The loop scans
+    the clause variables only; the free ones, in increasing order, fill the
+    group in which the clause variables run out and then follow.
+    """
     stats = compute_stats(cnf)
     degree = stats.degree
     near: dict[int, dict[int, int]] = {}
     for (u, v), w in _scaled_theta(stats, stats.closeness_scale()).items():
         near.setdefault(u, {})[v] = w
         near.setdefault(v, {})[u] = w
-    remaining = set(range(1, cnf.variable_count + 1))
+    variables = range(1, cnf.variable_count + 1)
+    free = [v for v in variables if not degree[v]]
+    spare = iter(free)  # no free variable is taken while a clause one is left
+    remaining = {v for v in variables if degree[v]}
     out: list[int] = []
-    while len(remaining) >= 4:
+    while remaining and len(remaining) + len(free) >= 4:
         seed = min(remaining, key=lambda v: (-degree[v], v))
         group = [seed]
         remaining.discard(seed)
         closeness: dict[int, int] = {}  # scaled closeness to the group so far
         for _ in range(3):
+            if not remaining:
+                group.append(next(spare))
+                continue
             for u, w in near.get(group[-1], {}).items():
                 closeness[u] = closeness.get(u, 0) + w
             best = min(remaining, key=lambda v: (-closeness.get(v, 0), -degree[v], v))
@@ -112,6 +124,7 @@ def order_grouped_heuristic(cnf: CnfProblem) -> VariableOrder:
             remaining.discard(best)
         out.extend(group)
     out.extend(_degree_descent(remaining, stats))
+    out.extend(spare)
     return VariableOrder(out)
 
 
@@ -181,8 +194,12 @@ def _scaled_theta(stats: VariableStats, scale: int) -> dict[tuple[int, int], int
 
 
 def _primal_graph(cnf: CnfProblem) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {v: set() for v in range(1, cnf.variable_count + 1)}
+    """Co-occurrence graph of the clause variables; a variable in no clause
+    would be an isolated vertex, and is left out."""
+    adj: dict[int, set[int]] = {}
     for vs in _variable_sets(cnf):
+        for v in vs:
+            adj.setdefault(v, set())
         for u, v in combinations(vs, 2):
             adj[u].add(v)
             adj[v].add(u)
@@ -204,25 +221,29 @@ def _eliminate(adj: dict[int, set[int]], v: int) -> None:
 
 
 def order_minfill(cnf: CnfProblem) -> VariableOrder:
-    """Eliminate the vertex adding the fewest fill edges first."""
+    """Eliminate the vertex adding the fewest fill edges first; variables in
+    no clause follow."""
     adj = _primal_graph(cnf)
+    free = [v for v in range(1, cnf.variable_count + 1) if v not in adj]
     out = []
     while adj:
         v = min(adj, key=lambda u: (_fill_count(adj, u), len(adj[u]), u))
         out.append(v)
         _eliminate(adj, v)
-    return VariableOrder(out)
+    return VariableOrder(out + free)
 
 
 def order_treewidth(cnf: CnfProblem) -> VariableOrder:
-    """Greedy minimum-degree elimination, a standard treewidth surrogate."""
+    """Greedy minimum-degree elimination, a standard treewidth surrogate;
+    variables in no clause follow."""
     adj = _primal_graph(cnf)
+    free = [v for v in range(1, cnf.variable_count + 1) if v not in adj]
     out = []
     while adj:
         v = min(adj, key=lambda u: (len(adj[u]), _fill_count(adj, u), u))
         out.append(v)
         _eliminate(adj, v)
-    return VariableOrder(out)
+    return VariableOrder(out + free)
 
 
 ORDERING_STRATEGIES: dict[str, Callable[[CnfProblem], VariableOrder]] = {

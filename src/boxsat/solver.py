@@ -24,17 +24,23 @@ This is sound because no stored box fixes a tail position, so a box meets M
 only if it contains the probe, and the probe missed them all.  Every box
 the sweep handles has index at most n - f, so every advance clears the last
 f bits and every probe is the first point of its M.
+
+``run`` streams each model box as signed-literal tuples from one template:
+the box's n - f prefix literals, computed once, plus each of the tail's 2^f
+literal combinations in sweep order, mapped back to variable order.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import islice, product
+from operator import itemgetter
+from typing import Callable, Iterator
 
 from .boxes import Box, BoxError, Trit, resolve, tail_resolvable
 from .clustertrie import BoxDatabase
-from .cnf import CnfProblem, VariableOrder, clause_to_box, point_to_literals
+from .cnf import CnfProblem, VariableOrder, clause_to_box
 from .ordering import build_order
 
 
@@ -130,6 +136,9 @@ class SolverState:
         retain = self.config.mode == "enumerate" and on_model is None
         self.models: list[Box] | None = [] if retain else None
         self.on_model = on_model
+        # what a model box streams as: its points, unless ``run`` installs
+        # the literal-tuple expansion
+        self._expand: Callable[[Box], Iterator] = self._points
         self.trace = trace
         self.covered = False
         self.exhausted = False
@@ -184,6 +193,11 @@ class SolverState:
             if self.gate_passes(cur):
                 self._cache_insert(cur, "resolution")
 
+    def _points(self, m: Box) -> Iterator[Box]:
+        """The points of the model box ``m`` in sweep order."""
+        n, full = self.n, (1 << self.n) - 1
+        return (Box(n, full, m.val | t) for t in range(1 << m.lambda_count))
+
     def _count_models(self, m: Box) -> bool:
         """Add the model box ``m``'s points to the count and stream them in
         sweep order.  Returns False, counting only the points already
@@ -193,17 +207,16 @@ class SolverState:
         if models is None and on_model is None:
             self.model_count += size
             return True
-        n, full = self.n, (1 << self.n) - 1
-        for t in range(size):
-            if t and not t & 255 and deadline is not None and time.perf_counter() > deadline:
-                self.model_count += t
+        sink = models.append if models is not None else on_model
+        expanded = self._expand(m)
+        # the deadline is checked before every 256 models but the first
+        for streamed in range(0, size, 256):
+            if streamed and deadline is not None and time.perf_counter() > deadline:
+                self.model_count += streamed
                 self.timed_out = True
                 return False
-            point = Box(n, full, m.val | t)
-            if models is not None:
-                models.append(point)
-            if on_model is not None:
-                on_model(point)
+            for model in islice(expanded, 256):
+                sink(model)
         self.model_count += size
         return True
 
@@ -286,6 +299,26 @@ def build_database(
     return db
 
 
+def _literal_models(order: VariableOrder, fixed: int) -> Callable[[Box], Iterator[tuple[int, ...]]]:
+    """Expansion of a model box, whose positions past ``fixed`` are all λ,
+    into its models as signed-literal tuples in sweep order."""
+    seq = order.as_sequence()
+    n = len(seq)
+    prefix = [(v, 1 << (n - 1 - i)) for i, v in enumerate(seq[:fixed])]
+    # F before T, last position fastest: the tail's points in sweep order
+    tail = [(-v, v) for v in seq[fixed:]]
+    # position order back to variable order; with n < 2 they coincide, and
+    # itemgetter would need at least two indices to return a tuple
+    get = itemgetter(*[order.position_of(v) - 1 for v in range(1, n + 1)]) if n > 1 else tuple
+
+    def expand(m: Box) -> Iterator[tuple[int, ...]]:
+        val = m.val
+        head = tuple([v if val & bit else -v for v, bit in prefix])
+        return map(get, map(head.__add__, product(*tail)))
+
+    return expand
+
+
 def run(
     cnf: CnfProblem,
     config: SolverConfig | None = None,
@@ -307,21 +340,16 @@ def run(
     database = build_database(cnf, order, lambda_skip=config.lambda_skip)
     load_seconds = time.perf_counter() - t0
 
-    emit = None
-    if on_model is not None:
-        emit = lambda point: on_model(point_to_literals(point, order))
-
     t1 = time.perf_counter()
-    state = SolverState(cnf.variable_count, database, config, on_model=emit, trace=trace)
+    state = SolverState(cnf.variable_count, database, config, on_model=on_model, trace=trace)
+    if state.models is not None or on_model is not None:
+        state._expand = _literal_models(order, database.max_index)
     timed_out = state.run_loop(deadline)
     run_seconds = time.perf_counter() - t1
 
-    models = None
-    if state.models is not None:
-        models = [point_to_literals(m, order) for m in state.models]
     return SolveResult(
         count=state.model_count,
-        models=models,
+        models=state.models,
         load_seconds=load_seconds,
         run_seconds=run_seconds,
         iterations=state.iterations,

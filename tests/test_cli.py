@@ -125,6 +125,22 @@ class TestEnumerate:
         ]
         assert "s MODELS 3" in out
 
+    def test_no_variables_prints_one_empty_model(self, tmp_path, capsys):
+        path = tmp_path / "empty.cnf"
+        path.write_text("p cnf 0 0\n")
+        assert main(["enumerate", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert [l for l in out.splitlines() if l.startswith("v")] == ["v 0"]
+        assert "s MODELS 1" in out
+
+    def test_models_in_variable_numbering(self, tmp_path, capsys):
+        # x2 is free, and every ordering puts it last
+        path = tmp_path / "free.cnf"
+        path.write_text("p cnf 3 2\n-1 3 0\n1 -3 0\n")
+        assert main(["enumerate", str(path)]) == EXIT_OK
+        v_lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("v")]
+        assert v_lines == ["v -1 -2 -3 0", "v -1 2 -3 0", "v 1 -2 3 0", "v 1 2 3 0"]
+
 
 class TestUsageErrors:
     def test_ratio_out_of_range(self, example1_path):
@@ -150,6 +166,16 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: grouped-optimal needs all C(72, 4) = 1,028,790 ")
         assert "cap of 1,000,000" in err
+        assert "Traceback" not in err
+
+    def test_out_of_memory(self, example1_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("boxsat.cli.run", exhausted)
+        assert main(["count", example1_path]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory (")
         assert "Traceback" not in err
 
 

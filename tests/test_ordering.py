@@ -281,3 +281,55 @@ class TestFreeVariablesLast:
                 assert set(seq[:k]) == used, name
                 # the clause variables keep the strategy's relative order
                 assert seq[:k] == tuple(v for v in strategy(problem).as_sequence() if v in used)
+
+
+def reference_elimination(problem, key):
+    """Greedy elimination over the primal graph with every variable a
+    vertex, isolated ones included, taking the vertex of least ``key``."""
+    adj = {v: set() for v in range(1, problem.variable_count + 1)}
+    for cl in problem.clauses:
+        for u, v in combinations(sorted({abs(l) for l in cl.literals}), 2):
+            adj[u].add(v)
+            adj[v].add(u)
+    out = []
+    while adj:
+        v = min(adj, key=lambda u: key(adj, u))
+        out.append(v)
+        nbrs = adj.pop(v)
+        for a in nbrs:
+            adj[a].discard(v)
+        for a, b in combinations(sorted(nbrs), 2):
+            adj[a].add(b)
+            adj[b].add(a)
+    return tuple(out)
+
+
+def padded(rng, k, free):
+    """A random formula on k variables, scattered over k + free."""
+    core = random_cnf(rng, k, rng.randint(0, 3 * k))
+    spread = dict(zip(range(1, k + 1), rng.sample(range(1, k + free + 1), k)))
+    return CnfProblem(
+        k + free,
+        [Clause(spread[abs(l)] * (1 if l > 0 else -1) for l in c.literals) for c in core.clauses],
+    )
+
+
+class TestFreeVariablesOutOfTheLoops:
+    def test_build_order_matches_loops_over_every_variable(self):
+        rng = random.Random(43)
+        for _ in range(150):
+            problem = padded(rng, rng.randint(1, 12), rng.randint(0, 20))
+            used = {abs(l) for c in problem.clauses for l in c.literals}
+            references = {
+                "grouped-heuristic": reference_grouped_heuristic(problem),
+                "minfill": reference_elimination(
+                    problem, lambda adj, u: (independent_fill(adj, u), len(adj[u]), u)),
+                "treewidth": reference_elimination(
+                    problem, lambda adj, u: (len(adj[u]), independent_fill(adj, u), u)),
+            }
+            for name, seq in references.items():
+                free_last = [v for v in seq if v in used] + [v for v in seq if v not in used]
+                assert build_order(problem, name).as_sequence() == tuple(free_last), name
+            # grouped-heuristic still places the free variables where the
+            # loop over every variable did
+            assert order_grouped_heuristic(problem).as_sequence() == references["grouped-heuristic"]

@@ -192,6 +192,13 @@ class TestRun:
         assert result.timed_out
         assert result.count < 1 << 16
 
+    def test_one_unit_clause_over_20000_variables(self):
+        # the default ordering scans only the one clause variable
+        result = run(CnfProblem(20000, [Clause([1])]))
+        assert result.count == 1 << 19999
+        assert result.iterations <= 2
+        assert result.order.as_sequence()[0] == 1
+
     def test_timeout_counts_the_ordering(self, example1, monkeypatch):
         import boxsat.solver as solver
 
@@ -371,3 +378,69 @@ class TestFreeTailWidening:
         )
         assert result.timed_out
         assert 0 < result.count == len(seen) < 1 << 39
+
+
+def streamed_points(cnf: CnfProblem, ordering: str) -> list[tuple[int, ...]]:
+    """The points a plain ``SolverState`` streams, as literal tuples."""
+    from boxsat.cnf import point_to_literals
+    from boxsat.ordering import build_order
+    from boxsat.solver import build_database
+
+    order = build_order(cnf, ordering)
+    points = []
+    state = SolverState(cnf.variable_count, build_database(cnf, order),
+                        SolverConfig(ordering=ordering), on_model=points.append)
+    state.run_loop()
+    assert all(p.is_point for p in points)
+    return [point_to_literals(p, order) for p in points]
+
+
+class TestLiteralStreaming:
+    """``run`` expands each model box straight into literal tuples; they
+    must be the tuples of the points ``SolverState`` streams, in order."""
+
+    def check(self, cnf: CnfProblem, ordering: str) -> None:
+        want = streamed_points(cnf, ordering)
+        seen = []
+        streamed = run(cnf, SolverConfig(ordering=ordering), on_model=seen.append)
+        assert seen == want
+        assert streamed.count == len(want) and streamed.models is None
+        retained = run(cnf, SolverConfig(ordering=ordering, mode="enumerate"))
+        assert retained.models == want
+        assert retained.count == len(want)
+
+    def test_random_padded_formulas(self):
+        rng = random.Random(73)
+        for _ in range(25):
+            # up to 14 free variables, at most 2^16 models
+            k = rng.randint(1, 10)
+            _, wide = padded_cnf(rng, k, rng.randint(0, min(14, 16 - k)))
+            for name in ORDERING_STRATEGIES:
+                self.check(wide, name)
+
+    def test_edge_cases(self):
+        from boxsat.ordering import build_order
+        from boxsat.solver import build_database
+
+        no_tail = CnfProblem(3, [Clause([1, -2, 3]), Clause([-1, 2])])
+        order = build_order(no_tail, "grouped-heuristic")
+        assert build_database(no_tail, order).max_index == 3  # f = 0
+        cases = [
+            CnfProblem(0, []),  # n = 0: one empty model
+            CnfProblem(1, []),  # n = 1, all free
+            CnfProblem(1, [Clause([-1])]),  # n = 1, f = 0
+            no_tail,
+            CnfProblem(5, []),  # clause-free
+            CnfProblem(4, [Clause([2]), Clause([-2])]),  # no model
+        ]
+        for cnf in cases:
+            for name in ORDERING_STRATEGIES:
+                self.check(cnf, name)
+        assert run(CnfProblem(0, []), SolverConfig(mode="enumerate")).models == [()]
+        assert run(CnfProblem(1, []), SolverConfig(mode="enumerate")).models == [(-1,), (1,)]
+
+    def test_retained_models_stop_at_the_deadline(self):
+        result = run(CnfProblem(30, [Clause([1])]), SolverConfig(mode="enumerate", timeout=0.05))
+        assert result.timed_out
+        assert 0 < result.count == len(result.models) < 1 << 29
+        assert len(set(result.models)) == result.count
