@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .cnf import Clause, CnfProblem
 
@@ -252,8 +252,3 @@ def decode_model(
         out.append(vertex)
     return tuple(out)
 
-
-def write_edge_list(graph: InputGraph, out: IO) -> None:
-    out.write(f"# {graph.vertex_count} vertices, {len(graph.edges)} edges\n")
-    for u, v in sorted(graph.edges):
-        out.write(f"{u} {v}\n")

@@ -47,20 +47,6 @@ def _open_input(path: str) -> IO:
     return sys.stdin if path == "-" else open(path, "r")
 
 
-def _ratio(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError("insertion ratio must lie in [0, 1]")
-    return value
-
-
-def _size(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("query size must be at least 2")
-    return value
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="boxsat", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -70,10 +56,10 @@ def build_parser() -> _Parser:
         p.add_argument("input", help="DIMACS CNF file, or - for stdin")
         p.add_argument(
             "--ordering",
-            default="grouped-heuristic",
+            default=SolverConfig.ordering,
             choices=sorted(ORDERING_STRATEGIES),
         )
-        p.add_argument("--insertion-ratio", type=_ratio, default=0.45)
+        p.add_argument("--insertion-ratio", type=float, default=SolverConfig.insertion_ratio)
         p.add_argument("--no-lambda-skip", action="store_true")
         p.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
         p.add_argument(
@@ -89,7 +75,7 @@ def build_parser() -> _Parser:
     gen = sub.add_parser("gen", help="generate CNF from an edge list")
     gen.add_argument("input", help="edge list file, or - for stdin")
     gen.add_argument("--query", required=True, choices=["clique", "path"])
-    gen.add_argument("--size", required=True, type=_size, metavar="K")
+    gen.add_argument("--size", required=True, type=int, metavar="K")
     gen.add_argument("--out", default="-", help="output CNF path (default stdout)")
     gen.add_argument("--max-vars", type=int, default=64)
 
@@ -97,7 +83,7 @@ def build_parser() -> _Parser:
     stats.add_argument("input", help="DIMACS CNF file, or - for stdin")
     stats.add_argument(
         "--ordering",
-        default="grouped-heuristic",
+        default=SolverConfig.ordering,
         choices=sorted(ORDERING_STRATEGIES),
     )
     return parser

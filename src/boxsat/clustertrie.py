@@ -12,8 +12,10 @@ sits in the root's slot 0).
 A containment query intersects each visited cluster's masks with a
 precomputed per-input row listing every slot that could contain the input's
 sub-box.  One intersection therefore replaces up to 16 individual trie-edge
-probes.  Chains of clusters holding no boxes and only the all-λ child are
-hopped over without touching the masks (the λ-skip).
+probes.  The rows are derived from the same 4-bit (mask, val) slot fields
+the walks read, plus each slot's sub-box length.  Chains of clusters
+holding no boxes and only the all-λ child are hopped over without touching
+the masks (the λ-skip).
 
 Every walk loops over an explicit stack and carries its path as plain ints,
 so formula width is bounded by memory, not by Python's recursion limit.  The query's slot
@@ -44,20 +46,19 @@ CLUSTER_SPAN = 4
 CHILD_SLOT_LOW = subbox_rank((Trit.LAMBDA,) * 4)  # 40, the all-λ prefix
 _ALL_LAMBDA_CHILD_BIT = 1 << CHILD_SLOT_LOW
 
-_RANK_TRITS = tuple(rank_to_trits(r) for r in range(SUBBOX_RANKS))
-
 
 def _slot_tables():
-    """Per slot, its sub-box as a left-aligned 4-bit (mask, val) field.  Per
-    index class k, the slots whose sub-box ends at its k-th trit (trailing λs
-    do not count), so a class-k hit at depth d is a box of index 4d + k.  Per
-    field length, the slot of a right-aligned field, indexed by
-    ``mask << 4 | val``."""
+    """Per slot, its sub-box as a left-aligned 4-bit (mask, val) field and
+    the sub-box's length.  Per index class k, the slots whose sub-box ends
+    at its k-th trit (trailing λs do not count), so a class-k hit at depth d
+    is a box of index 4d + k.  Per field length, the slot of a right-aligned
+    field, indexed by ``mask << 4 | val``."""
     lam, true = Trit.LAMBDA, Trit.TRUE
-    masks, vals = [], []
+    masks, vals, lengths = [], [], []
     classes = [0] * (CLUSTER_SPAN + 1)
     ranks = tuple([0] * 256 for _ in range(CLUSTER_SPAN + 1))
-    for slot, trits in enumerate(_RANK_TRITS):
+    for slot in range(SUBBOX_RANKS):
+        trits = rank_to_trits(slot)
         m = v = 0
         for t in trits:
             m = m << 1 | (t is not lam)
@@ -65,13 +66,14 @@ def _slot_tables():
         length = len(trits)
         masks.append(m << (CLUSTER_SPAN - length))
         vals.append(v << (CLUSTER_SPAN - length))
+        lengths.append(length)
         trailing_lambdas = (m & -m).bit_length() - 1 if m else length
         classes[length - trailing_lambdas] |= 1 << slot
         ranks[length][m << 4 | v] = slot
-    return tuple(masks), tuple(vals), tuple(classes), ranks
+    return tuple(masks), tuple(vals), tuple(lengths), tuple(classes), ranks
 
 
-_SLOT_MASK, _SLOT_VAL, _INDEX_CLASSES, _FIELD_RANKS = _slot_tables()
+_SLOT_MASK, _SLOT_VAL, _SLOT_LENGTH, _INDEX_CLASSES, _FIELD_RANKS = _slot_tables()
 
 
 def _first_by_index(hits: int) -> tuple[int, int]:
@@ -91,36 +93,27 @@ class LookupTables:
     child_containers: tuple[int, ...]
 
 
-def _subbox_contains(a: tuple[Trit, ...], b: tuple[Trit, ...]) -> bool:
-    # a contains b when a is no longer than b and matches it positionwise
-    # (λ matches anything); a's implicit λ tail contains whatever follows.
-    if len(a) > len(b):
-        return False
-    return all(x is Trit.LAMBDA or x is y for x, y in zip(a, b))
-
-
-def _child_covers(prefix: tuple[Trit, ...], sub: tuple[Trit, ...]) -> bool:
-    # A child prefix can lead to a containing box only if it contains the
-    # λ-padded input sub-box on all four positions.
-    for i, p in enumerate(prefix):
-        s = sub[i] if i < len(sub) else Trit.LAMBDA
-        if p is not Trit.LAMBDA and p is not s:
-            return False
-    return True
-
-
 @lru_cache(maxsize=1)
 def build_lookup_tables() -> LookupTables:
-    """Generate both 121-row tables by exhaustive containment checks."""
+    """Generate both 121-row tables from the slots' (mask, val) fields.
+
+    Slot j covers input slot v when every position j fixes is fixed in v to
+    the same value.  A box row also needs j's sub-box to be no longer than
+    v's: a stored box ends where its slot does, and its implicit λ tail
+    contains whatever follows.  A child row takes the length-4 prefixes
+    (slots from ``CHILD_SLOT_LOW``) and matches them against v padded with
+    λ, which the field's unused low bits already are.
+    """
     box_rows = []
     child_rows = []
-    for v in range(SUBBOX_RANKS):
-        sub = _RANK_TRITS[v]
+    for mv, vv, lv in zip(_SLOT_MASK, _SLOT_VAL, _SLOT_LENGTH):
         brow = crow = 0
-        for j in range(SUBBOX_RANKS):
-            if _subbox_contains(_RANK_TRITS[j], sub):
+        for j, (mj, vj, lj) in enumerate(zip(_SLOT_MASK, _SLOT_VAL, _SLOT_LENGTH)):
+            if mj & ~mv or (vj ^ vv) & mj:
+                continue
+            if lj <= lv:
                 brow |= 1 << j
-            if j >= CHILD_SLOT_LOW and _child_covers(_RANK_TRITS[j], sub):
+            if j >= CHILD_SLOT_LOW:
                 crow |= 1 << j
         box_rows.append(brow)
         child_rows.append(crow)
@@ -411,10 +404,5 @@ class BoxDatabase:
         return "\n".join(lines)
 
     def total_set_bits(self) -> int:
-        total = 0
-        stack = [self.root]
-        while stack:
-            c = stack.pop()
-            total += c.boxes_mask.bit_count() + c.children_mask.bit_count()
-            stack.extend(c.children.values())
-        return total
+        return sum(c.boxes_mask.bit_count() + c.children_mask.bit_count()
+                   for c, *_ in self._clusters())

@@ -38,9 +38,6 @@ class Clause:
     def variables(self) -> set[int]:
         return {abs(l) for l in self.literals}
 
-    def is_tautology(self) -> bool:
-        return any(-l in self.literals for l in self.literals)
-
     def __len__(self) -> int:
         return len(self.literals)
 
@@ -149,7 +146,7 @@ def parse_dimacs(source: str | bytes | IO) -> CnfProblem:
     pending: list[int] = []
     ended = False
 
-    def finish_clause(line_no: int):
+    def finish_clause():
         nonlocal seen
         seen += 1
         lits = set(pending)
@@ -190,7 +187,7 @@ def parse_dimacs(source: str | bytes | IO) -> CnfProblem:
             except ValueError:
                 raise DimacsError(f"bad token {token!r}", line_no) from None
             if lit == 0:
-                finish_clause(line_no)
+                finish_clause()
                 continue
             if not 1 <= abs(lit) <= n:
                 raise DimacsError(f"literal {lit} out of range 1..{n}", line_no)

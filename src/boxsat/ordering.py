@@ -211,39 +211,37 @@ def _fill_count(adj: dict[int, set[int]], v: int) -> int:
     return sum(1 for a, b in combinations(nbrs, 2) if b not in adj[a])
 
 
-def _eliminate(adj: dict[int, set[int]], v: int) -> None:
-    nbrs = adj.pop(v)
-    for a in nbrs:
-        adj[a].discard(v)
-    for a, b in combinations(sorted(nbrs), 2):
-        adj[a].add(b)
-        adj[b].add(a)
+def _eliminate_greedily(
+    cnf: CnfProblem, key: Callable[[dict[int, set[int]], int], tuple]
+) -> VariableOrder:
+    """Eliminate the vertex of least ``key(adj, u)`` until the primal graph
+    is empty, joining its neighbours pairwise each time; variables in no
+    clause follow."""
+    adj = _primal_graph(cnf)
+    free = [v for v in range(1, cnf.variable_count + 1) if v not in adj]
+    out = []
+    while adj:
+        v = min(adj, key=lambda u: key(adj, u))
+        out.append(v)
+        nbrs = adj.pop(v)
+        for a in nbrs:
+            adj[a].discard(v)
+        for a, b in combinations(sorted(nbrs), 2):
+            adj[a].add(b)
+            adj[b].add(a)
+    return VariableOrder(out + free)
 
 
 def order_minfill(cnf: CnfProblem) -> VariableOrder:
     """Eliminate the vertex adding the fewest fill edges first; variables in
     no clause follow."""
-    adj = _primal_graph(cnf)
-    free = [v for v in range(1, cnf.variable_count + 1) if v not in adj]
-    out = []
-    while adj:
-        v = min(adj, key=lambda u: (_fill_count(adj, u), len(adj[u]), u))
-        out.append(v)
-        _eliminate(adj, v)
-    return VariableOrder(out + free)
+    return _eliminate_greedily(cnf, lambda adj, u: (_fill_count(adj, u), len(adj[u]), u))
 
 
 def order_treewidth(cnf: CnfProblem) -> VariableOrder:
     """Greedy minimum-degree elimination, a standard treewidth surrogate;
     variables in no clause follow."""
-    adj = _primal_graph(cnf)
-    free = [v for v in range(1, cnf.variable_count + 1) if v not in adj]
-    out = []
-    while adj:
-        v = min(adj, key=lambda u: (len(adj[u]), _fill_count(adj, u), u))
-        out.append(v)
-        _eliminate(adj, v)
-    return VariableOrder(out + free)
+    return _eliminate_greedily(cnf, lambda adj, u: (len(adj[u]), _fill_count(adj, u), u))
 
 
 ORDERING_STRATEGIES: dict[str, Callable[[CnfProblem], VariableOrder]] = {

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxsat import Clause, CnfProblem, write_dimacs
+from boxsat import Clause, CnfProblem, SolverConfig, write_dimacs
 from boxsat.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_TIMEOUT,
     EXIT_USAGE,
     EXIT_VERIFY,
+    build_parser,
     main,
 )
 
@@ -140,6 +141,17 @@ class TestEnumerate:
         assert main(["enumerate", str(path)]) == EXIT_OK
         v_lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("v")]
         assert v_lines == ["v -1 -2 -3 0", "v -1 2 -3 0", "v 1 -2 3 0", "v 1 2 3 0"]
+
+
+class TestDefaults:
+    def test_defaults_are_the_solver_config_defaults(self):
+        defaults = SolverConfig()
+        parser = build_parser()
+        for command in ("count", "stats"):
+            args = parser.parse_args([command, "in.cnf"])
+            assert args.ordering == defaults.ordering
+        args = parser.parse_args(["count", "in.cnf"])
+        assert args.insertion_ratio == defaults.insertion_ratio
 
 
 class TestUsageErrors:
