@@ -18,7 +18,7 @@ from .cnf import (
     parse_dimacs,
     write_dimacs,
 )
-from .ordering import ORDERING_STRATEGIES, build_order, compute_stats, interconnectedness
+from .ordering import ORDERING_STRATEGIES, build_order, compute_stats
 from .solver import SolveResult, SolverConfig, SolverState, advance, run
 
 __version__ = "0.1.0"
@@ -43,7 +43,6 @@ __all__ = [
     "build_order",
     "clause_to_box",
     "compute_stats",
-    "interconnectedness",
     "parse_dimacs",
     "resolve",
     "run",

@@ -17,7 +17,6 @@ from typing import IO
 
 from .benchgen import (
     EdgeListError,
-    GenerationError,
     GraphQuerySpec,
     generate_cnf,
     read_edge_list,
@@ -177,10 +176,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GenerationError, ValueError) as exc:
-        if isinstance(exc, (DimacsError, EdgeListError)):
-            print(f"parse error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+    except (DimacsError, EdgeListError) as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, combinations
 from typing import Callable, Iterable
 
@@ -29,12 +28,6 @@ class VariableStats:
     n: int
     degree: list[int]  # 1-based; degree[0] unused
     pair_min_size: dict[tuple[int, int], int]  # (u, v) u<v -> smallest co-clause size
-
-    def closeness(self, u: int, v: int) -> Fraction:
-        if u > v:
-            u, v = v, u
-        size = self.pair_min_size.get((u, v))
-        return Fraction(0) if size is None else Fraction(1, size - 1)
 
     def closeness_scale(self) -> int:
         """LCM of occurring denominators; closeness * scale is integral."""
@@ -70,14 +63,6 @@ def compute_stats(cnf: CnfProblem) -> VariableStats:
             if old is None or size < old:
                 pair_min[pair] = size
     return VariableStats(cnf.variable_count, degree, pair_min)
-
-
-def interconnectedness(group: Iterable[int], stats: VariableStats) -> Fraction:
-    """Sum of pairwise closeness inside the group (absent pairs count 0)."""
-    total = Fraction(0)
-    for u, v in combinations(sorted(group), 2):
-        total += stats.closeness(u, v)
-    return total
 
 
 def _degree_descent(variables: Iterable[int], stats: VariableStats) -> list[int]:

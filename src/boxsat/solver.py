@@ -2,13 +2,13 @@
 
 The sweep walks candidate points in depth-first order (F before T, first
 position most significant).  Each point is checked against the learned-box
-cache first, then the clause database; a containing box advances the probe
-past everything it covers, a double miss means the point is a model.  Every
-box the loop touches feeds a resolution chain: a box ending in F waits in
-the slot array ``left`` until its T-ending sibling shows up, the pair
-resolves to a box one index shorter, and the chain cascades.  The run ends
-when the cascade produces the all-λ box (the whole space is covered) or the
-probe walks off the end of the space.
+cache first, then the clause database; a double miss means the point is a
+model.  The box a step finds (or the model) feeds a resolution cascade: a
+box ending in F waits in the slot array ``left`` until its T-ending sibling
+shows up, the pair resolves to a box one index shorter, and the chain
+cascades.  The step then advances the probe once, past everything the
+cascade's last box covers.  The run ends when the cascade produces the all-λ
+box (the whole space is covered) or the probe walks off the end of the space.
 
 Resolved boxes enter the cache only when their λ fraction reaches the
 configured insertion ratio; caching everything bloats the trie faster than
@@ -19,7 +19,7 @@ stored clause box fixes (n minus the database's largest box index; the
 orderings put variables that occur in no clause last, so f counts at least
 those).  A double miss then counts the whole model box M, the probe with its
 last f positions set to λ, as 2^f models, streams its points in sweep
-order, and caches, advances past and cascades M in place of the probe.
+order, and caches, cascades and advances past M in place of the probe.
 This is sound because no stored box fixes a tail position, so a box meets M
 only if it contains the probe, and the probe missed them all.  Every box
 the sweep handles has index at most n - f, so every advance clears the last
@@ -93,23 +93,17 @@ def advance(b: Box, p: Box) -> Box | None:
     """Next probe point past ``b``: the smallest full point after ``p`` in
     sweep order that ``b`` does not contain, or None when none is left.
 
-    Equivalent to repeatedly taking the successor point while still inside
-    ``b``; computed directly from the box's last fixed position.
+    It depends only on ``index(b)``: every point sharing ``p``'s first
+    ``index(b)`` positions lies in ``b``, and one carry at that position
+    reaches the first point after them all.
     """
     if not p.is_point:
         raise BoxError("probe point must be a full point")
     if not b.contains(p):
         raise BoxError("advance requires the box to contain the probe point")
-    if b.mask == 0:
-        return None  # the all-λ box covers everything that remains
-    low = (b.mask & -b.mask).bit_length() - 1
-    if (b.val >> low) & 1 == 0:
-        # box fixes F at its last position: flipping that bit escapes
-        nxt = (p.val | (1 << low)) & ~((1 << low) - 1)
-    else:
-        # box fixes T: carry past the position
-        nxt = ((p.val >> (low + 1)) + 1) << (low + 1)
-    if nxt >= 1 << p.n:
+    shift = p.n - b.index
+    nxt = ((p.val >> shift) + 1) << shift
+    if nxt >> p.n:
         return None
     return Box.point(p.n, nxt)
 
@@ -166,21 +160,21 @@ class SolverState:
         if box.mask == 0:
             self.covered = True
 
-    def resolve_cascade(self, b: Box) -> list[Box]:
+    def resolve_cascade(self, b: Box) -> Box:
         """Feed the just-processed box through the pending-resolution slots.
 
-        Returns the resolvents produced, whether or not they were cached.
+        Returns the cascade's last box: ``b`` itself, or its last resolvent.
         """
         cur = b
-        produced: list[Box] = []
         while True:
             k = cur.index
             if k == 0:
-                self._cache_insert(cur, "resolution")
-                return produced
+                # already cached: by ``step``, or as a resolvent, which every
+                # insertion ratio admits when all of it is λ
+                return cur
             if cur.trit(k - 1) is Trit.FALSE:
                 self.left[k] = cur  # most recent left-branching box wins
-                return produced
+                return cur
             partner = self.left[k]
             if partner is None:
                 raise SolverError(f"no pending left box at index {k} for {cur!r}")
@@ -189,7 +183,6 @@ class SolverState:
                     f"cascade pair not tail-resolvable: {cur!r} vs {partner!r}"
                 )
             cur = resolve(cur, partner)
-            produced.append(cur)
             if self.gate_passes(cur):
                 self._cache_insert(cur, "resolution")
 
@@ -244,28 +237,17 @@ class SolverState:
                 if not self._count_models(b):
                     return False
                 self._cache_insert(b, "model")
-        nxt = advance(b, p)
+        # Every cascade box contains p: each partner waiting in ``left``
+        # agrees with p wherever it is fixed but at the pivot, which the
+        # resolvent sets to λ.  So advancing past one depends only on its
+        # index, and the indices fall strictly: the last box skips furthest,
+        # and every earlier one ends in T, so none contains the point it
+        # skips to.
+        nxt = advance(self.resolve_cascade(b), p)
         if nxt is None:
             self.exhausted = True
         else:
             self.probe = nxt
-        resolvents = self.resolve_cascade(b)
-        # A resolvent may cover the advanced probe even when the insertion
-        # gate kept it out of the cache.  Advance past those too, otherwise
-        # the sweep would enter a right branch whose left sibling was covered
-        # only by an uncached resolvent, stranding a stale slot in ``left``.
-        moved = True
-        while moved and not self.done:
-            moved = False
-            for r in resolvents:
-                if r.contains(self.probe):
-                    nxt = advance(r, self.probe)
-                    if nxt is None:
-                        self.exhausted = True
-                    else:
-                        self.probe = nxt
-                        moved = True
-                    break
         self.iterations += 1
         if self.trace is not None:
             self.trace.steps.append((p, source, b))

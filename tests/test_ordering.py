@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from boxsat import Clause, CnfProblem, build_order, compute_stats, interconnectedness
+from boxsat import Clause, CnfProblem, build_order, compute_stats
 from boxsat.ordering import (
     ORDERING_STRATEGIES,
     order_grouped_heuristic,
@@ -33,8 +33,7 @@ class TestStats:
 
     def test_closeness_smallest_clause_wins(self):
         stats = compute_stats(cnf(3, [1, 2], [1, 2, 3]))
-        assert stats.closeness(1, 2) == Fraction(1)
-        assert stats.closeness(1, 3) == Fraction(1, 2)
+        assert stats.pair_min_size == {(1, 2): 2, (1, 3): 3, (2, 3): 3}
 
     def test_single_variable_clause_has_no_pairs(self):
         stats = compute_stats(cnf(1, [1]))
@@ -42,21 +41,7 @@ class TestStats:
 
     def test_absent_pair_is_zero(self):
         stats = compute_stats(cnf(4, [1, 2]))
-        assert stats.closeness(1, 4) == 0
-
-
-class TestInterconnectedness:
-    def test_worked_example(self):
-        stats = compute_stats(cnf(3, [1, 2], [1, 2, 3]))
-        assert interconnectedness([1, 2, 3], stats) == 2
-
-    def test_singleton(self):
-        stats = compute_stats(EXAMPLE1)
-        assert interconnectedness([2], stats) == 0
-
-    def test_disconnected_pair(self):
-        stats = compute_stats(cnf(4, [1, 2]))
-        assert interconnectedness([1, 4], stats) == 0
+        assert stats.pair_min_size == {(1, 2): 2}  # (1, 4) share no clause
 
 
 class TestNaiveDegree:

@@ -143,6 +143,14 @@ class TestWalkthrough:
         assert state.model_count == 3
         assert state.models == [B("TFT"), B("TTF"), B("TTT")]
 
+    def test_all_lambda_box_cached_once(self):
+        state = walkthrough_state()
+        state.trace = trace = SweepTrace()
+        while state.step():
+            pass
+        inserted = [box for box, _ in trace.cache_inserts]
+        assert inserted.count(B("---")) == 1
+
 
 class TestRun:
     def test_example1(self, example1):
@@ -293,6 +301,38 @@ class TestSweepInvariants:
                 seen_inserts = len(trace.cache_inserts)
                 if not alive:
                     break
+
+    def test_resolvents_hold_the_probe_and_never_strand_it(self):
+        # a step advances once, past its cascade's last box; every box of
+        # the cascade, cached or not, must then lie behind the next probe
+        rng = random.Random(65)
+        for _ in range(8):
+            cnf = random_cnf(rng, rng.randint(1, 9), rng.randint(0, 20))
+            for name in ORDERING_STRATEGIES:
+                for ratio in (0.0, 0.45, 1.0):
+                    for skip in (True, False):
+                        config = SolverConfig(
+                            insertion_ratio=ratio, ordering=name, lambda_skip=skip
+                        )
+                        self.check_cascades(cnf, config)
+
+    def check_cascades(self, cnf, config):
+        state, trace, _, _ = self.drive(cnf, config)
+        resolvents: list[Box] = []
+        gate = state.gate_passes
+
+        def recording_gate(r: Box) -> bool:
+            resolvents.append(r)
+            return gate(r)
+
+        state.gate_passes = recording_gate
+        while not state.done:
+            resolvents.clear()
+            state.step()
+            p, _, b = trace.steps[-1]
+            assert all(r.contains(p) for r in resolvents)
+            if not state.done:
+                assert not any(box.contains(state.probe) for box in [b, *resolvents])
 
     def test_termination_signals(self):
         # covered: the cascade builds the all-λ box; exhausted: the probe
