@@ -17,15 +17,17 @@ the walks read, plus each slot's sub-box length.  Chains of clusters
 holding no boxes and only the all-λ child are hopped over without touching
 the masks (the λ-skip).
 
-Every walk loops over an explicit stack and carries its path as plain ints,
-so formula width is bounded by memory, not by Python's recursion limit.  The query's slot
-rank at a depth is read on demand from its (mask, val) bits through a
-per-depth (shift, width) pair and a rank table; the witness box is built by
-OR-ing each slot's 4-bit (mask, val) field into the path as the walk goes
-down.  Besides "some containing box" (``find_containing``) and "every
-containing box" (``all_containing``), the trie answers "the containing box
-with the smallest index" (``smallest_containing``) in one walk that skips
-every subtree too deep to beat the best box found so far.
+Every walk loops over an explicit stack of clusters, so formula width is
+bounded by memory, not by Python's recursion limit.  The query's slot rank
+at a depth is read on demand from its (mask, val) bits through a per-depth
+(shift, width) pair and a rank table.  Each cluster knows its depth and the
+(mask, val) bits of the slots on its path, set once when it is created, so
+a walk pushes bare clusters and the witness box is the path plus the hit
+slot's 4-bit field, shifted into place.  Besides "some containing box"
+(``find_containing``) and "every containing box" (``all_containing``), the
+trie answers "the containing box with the smallest index"
+(``smallest_containing``) in one walk that skips every subtree too deep to
+beat the best box found so far.
 """
 
 from __future__ import annotations
@@ -121,12 +123,19 @@ def build_lookup_tables() -> LookupTables:
 
 
 class Cluster:
-    __slots__ = ("boxes_mask", "children_mask", "children")
+    """A trie node.  ``mask``/``val`` hold the 4-bit fields of the child
+    slots leading to it from the root, first slot highest, so they have
+    4 × ``depth`` bits."""
 
-    def __init__(self):
+    __slots__ = ("boxes_mask", "children_mask", "children", "depth", "mask", "val")
+
+    def __init__(self, depth: int = 0, mask: int = 0, val: int = 0):
         self.boxes_mask = 0
         self.children_mask = 0
         self.children: dict[int, Cluster] = {}
+        self.depth = depth
+        self.mask = mask
+        self.val = val
 
 
 class BoxDatabase:
@@ -139,17 +148,15 @@ class BoxDatabase:
     skipping that check's walk.  ``max_index`` is the largest index of any
     stored box: no stored box fixes a position after it.
 
-    Every walk pops ``(cluster, depth, mask, val)`` entries off an explicit
-    stack; ``mask``/``val`` hold the fixed bits of the path to the cluster,
-    left-aligned in a space of 4 × ``cluster_count`` positions (the last
-    cluster may cover fewer than four).  Children are pushed highest slot
-    first, so clusters pop depth-first in increasing slot order.  A query
-    first hops the popped cluster's λ-skip chain (clusters on the last depth
-    have no children, so a hop never runs past it), then reads the query's
-    rank at that depth and intersects.  The three queries inline this walk
-    instead of calling shared helpers per cluster: it is the sweep's
-    innermost loop, and those calls made the ``blocks`` sweep about a third
-    slower.
+    Every walk pops clusters off an explicit stack; each cluster carries its
+    own depth and path bits, so nothing is computed per push.  Children are
+    pushed highest slot first, so clusters pop depth-first in increasing
+    slot order.  A query first hops the popped cluster's λ-skip chain
+    (clusters on the last depth have no children, so a hop never runs past
+    it), then reads the query's rank at that depth and intersects.  The
+    three queries inline this walk instead of calling shared helpers per
+    cluster: it is the sweep's innermost loop, and those calls made the
+    ``blocks`` sweep about a third slower.
     """
 
     def __init__(self, n: int, lambda_skip: bool = True):
@@ -166,12 +173,11 @@ class BoxDatabase:
         # positions the path space carries past n, all λ
         self._pad = CLUSTER_SPAN * (last + 1) - n
         # Per depth: the shift, width mask and rank table that read a box's
-        # field there, and the shift placing a slot's 4-bit field in the path.
+        # field there.
         fields = []
         for d in range(last + 1):
             length = min(CLUSTER_SPAN, n - CLUSTER_SPAN * d)
-            fields.append((n - CLUSTER_SPAN * d - length, (1 << length) - 1,
-                           _FIELD_RANKS[length], CLUSTER_SPAN * (last - d)))
+            fields.append((n - CLUSTER_SPAN * d - length, (1 << length) - 1, _FIELD_RANKS[length]))
         self._fields = fields
 
     @property
@@ -187,34 +193,29 @@ class BoxDatabase:
         if b.n != self.n:
             raise BoxError(f"box length {b.n} != database length {self.n}")
 
-    def _witness(self, mask: int, val: int, depth: int, slot: int) -> Box:
-        """The box stored in ``slot`` of the cluster at ``depth`` whose path
-        fixes ``mask``/``val``."""
-        up = self._fields[depth][3]
+    def _witness(self, cluster: Cluster, slot: int) -> Box:
+        """The box stored in ``slot`` of ``cluster``."""
+        # the path plus the slot's field fills 4 × (depth + 1) positions;
+        # place them first and drop the λ padding past n
+        up = CLUSTER_SPAN * (self._last_depth - cluster.depth)
         pad = self._pad
         return Box(
             self.n,
-            (mask | _SLOT_MASK[slot] << up) >> pad,
-            (val | _SLOT_VAL[slot] << up) >> pad,
+            ((cluster.mask << CLUSTER_SPAN | _SLOT_MASK[slot]) << up) >> pad,
+            ((cluster.val << CLUSTER_SPAN | _SLOT_VAL[slot]) << up) >> pad,
         )
 
     def _clusters(self):
-        """Every cluster as ``(cluster, depth, slot, mask, val)`` in walk
-        order, without λ-skip; ``slot`` is the child slot leading to the
-        cluster (None at the root)."""
-        fields = self._fields
-        stack = [(self.root, 0, None, 0, 0)]
+        """Every cluster in walk order, without λ-skip."""
+        stack = [self.root]
         while stack:
-            entry = stack.pop()
-            yield entry
-            cluster, depth, _, mask, val = entry
-            up = fields[depth][3]
-            kids = cluster.children_mask
+            cluster = stack.pop()
+            yield cluster
+            children, kids = cluster.children, cluster.children_mask
             while kids:
                 slot = kids.bit_length() - 1
                 kids ^= 1 << slot
-                stack.append((cluster.children[slot], depth + 1, slot,
-                               mask | _SLOT_MASK[slot] << up, val | _SLOT_VAL[slot] << up))
+                stack.append(children[slot])
 
     # -- operations ------------------------------------------------------
 
@@ -242,11 +243,12 @@ class BoxDatabase:
         mask, val = b.mask, b.val
         cluster = self.root
         for d in range(terminal):
-            shift, width, ranks, _ = self._fields[d]
+            shift, width, ranks = self._fields[d]
             slot = ranks[((mask >> shift) & width) << 4 | ((val >> shift) & width)]
             child = cluster.children.get(slot)
             if child is None:
-                child = Cluster()
+                child = Cluster(d + 1, cluster.mask << CLUSTER_SPAN | _SLOT_MASK[slot],
+                                cluster.val << CLUSTER_SPAN | _SLOT_VAL[slot])
                 cluster.children[slot] = child
                 cluster.children_mask |= 1 << slot
             cluster = child
@@ -271,26 +273,25 @@ class BoxDatabase:
         fields, skip = self._fields, self.lambda_skip
         box_tab, child_tab = self._tables.box_containers, self._tables.child_containers
         visits = 0
-        stack = [(self.root, 0, 0, 0)]
+        stack = [self.root]
         while stack:
-            cluster, depth, mask, val = stack.pop()
+            cluster = stack.pop()
             if skip:
                 while not cluster.boxes_mask and cluster.children_mask == _ALL_LAMBDA_CHILD_BIT:
                     cluster = cluster.children[CHILD_SLOT_LOW]
-                    depth += 1
             visits += 1
-            shift, width, ranks, up = fields[depth]
+            shift, width, ranks = fields[cluster.depth]
             rank = ranks[((qm >> shift) & width) << 4 | ((qv >> shift) & width)]
             hits = cluster.boxes_mask & box_tab[rank]
             if hits:
                 self.cluster_visits += visits
-                return self._witness(mask, val, depth, _first_by_index(hits)[1])
+                return self._witness(cluster, _first_by_index(hits)[1])
             kids = cluster.children_mask & child_tab[rank]
+            children = cluster.children
             while kids:
                 slot = kids.bit_length() - 1
                 kids ^= 1 << slot
-                stack.append((cluster.children[slot], depth + 1,
-                              mask | _SLOT_MASK[slot] << up, val | _SLOT_VAL[slot] << up))
+                stack.append(children[slot])
         self.cluster_visits += visits
         return None
 
@@ -309,31 +310,31 @@ class BoxDatabase:
         best = None
         best_index = CLUSTER_SPAN * len(fields) + 1  # beyond any stored box
         visits = 0
-        stack = [(self.root, 0, 0, 0)]
+        stack = [self.root]
         while stack:
-            cluster, depth, mask, val = stack.pop()
+            cluster = stack.pop()
             if skip:
                 while not cluster.boxes_mask and cluster.children_mask == _ALL_LAMBDA_CHILD_BIT:
                     cluster = cluster.children[CHILD_SLOT_LOW]
-                    depth += 1
+            depth = cluster.depth
             if CLUSTER_SPAN * depth + 1 >= best_index:
                 continue
             visits += 1
-            shift, width, ranks, up = fields[depth]
+            shift, width, ranks = fields[depth]
             rank = ranks[((qm >> shift) & width) << 4 | ((qv >> shift) & width)]
             hits = cluster.boxes_mask & box_tab[rank]
             if hits:
                 k, slot = _first_by_index(hits)
                 if CLUSTER_SPAN * depth + k < best_index:
                     best_index = CLUSTER_SPAN * depth + k
-                    best = (mask, val, depth, slot)
+                    best = (cluster, slot)
                 continue
             kids = cluster.children_mask & child_tab[rank]
+            children = cluster.children
             while kids:
                 slot = kids.bit_length() - 1
                 kids ^= 1 << slot
-                stack.append((cluster.children[slot], depth + 1,
-                              mask | _SLOT_MASK[slot] << up, val | _SLOT_VAL[slot] << up))
+                stack.append(children[slot])
         self.cluster_visits += visits
         return None if best is None else self._witness(*best)
 
@@ -350,41 +351,40 @@ class BoxDatabase:
         fields, skip = self._fields, self.lambda_skip
         box_tab, child_tab = self._tables.box_containers, self._tables.child_containers
         out: list[Box] = []
-        stack = [(self.root, 0, 0, 0)]
+        stack = [self.root]
         while stack:
-            cluster, depth, mask, val = stack.pop()
+            cluster = stack.pop()
             if skip:
                 while not cluster.boxes_mask and cluster.children_mask == _ALL_LAMBDA_CHILD_BIT:
                     cluster = cluster.children[CHILD_SLOT_LOW]
-                    depth += 1
             self.cluster_visits += 1
-            shift, width, ranks, up = fields[depth]
+            shift, width, ranks = fields[cluster.depth]
             rank = ranks[((qm >> shift) & width) << 4 | ((qv >> shift) & width)]
             hits = h = cluster.boxes_mask & box_tab[rank]
             while h:
                 low = h & -h
                 h ^= low
-                out.append(self._witness(mask, val, depth, low.bit_length() - 1))
+                out.append(self._witness(cluster, low.bit_length() - 1))
             if hits and not include_shadowed:
                 continue
             kids = cluster.children_mask & child_tab[rank]
+            children = cluster.children
             while kids:
                 slot = kids.bit_length() - 1
                 kids ^= 1 << slot
-                stack.append((cluster.children[slot], depth + 1,
-                              mask | _SLOT_MASK[slot] << up, val | _SLOT_VAL[slot] << up))
+                stack.append(children[slot])
         return out
 
     # -- introspection ---------------------------------------------------
 
     def boxes(self):
         """Yield every stored box (depth-first, increasing slot order)."""
-        for cluster, depth, _, mask, val in self._clusters():
+        for cluster in self._clusters():
             m = cluster.boxes_mask
             while m:
                 low = m & -m
                 m ^= low
-                yield self._witness(mask, val, depth, low.bit_length() - 1)
+                yield self._witness(cluster, low.bit_length() - 1)
 
     def dump(self) -> str:
         """Textual listing, one ``depth:slot`` line per set bit.
@@ -393,8 +393,12 @@ class BoxDatabase:
         increasing slot order, so equal structures dump identically.
         """
         lines: list[str] = []
-        for cluster, depth, slot, _, _ in self._clusters():
-            if slot is not None:
+        ranks = _FIELD_RANKS[CLUSTER_SPAN]
+        for cluster in self._clusters():
+            depth = cluster.depth
+            if depth:
+                # the slot leading here: a length-4 prefix, the path's last field
+                slot = ranks[(cluster.mask & 15) << 4 | (cluster.val & 15)]
                 lines.append(f"{depth - 1}:{slot}>")
             m = cluster.boxes_mask
             while m:
@@ -405,4 +409,4 @@ class BoxDatabase:
 
     def total_set_bits(self) -> int:
         return sum(c.boxes_mask.bit_count() + c.children_mask.bit_count()
-                   for c, *_ in self._clusters())
+                   for c in self._clusters())

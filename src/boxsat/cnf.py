@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from operator import neg
+from typing import IO, Collection, Iterable, Iterator
 
 from .boxes import Box, Trit
 
@@ -25,18 +26,22 @@ class DimacsError(ValueError):
 
 @dataclass(frozen=True)
 class Clause:
-    """Disjunction of signed literals (var ids are 1-based, sign = polarity)."""
+    """Disjunction of signed literals (var ids are 1-based, sign = polarity).
+
+    A ``frozenset`` of ints is kept as it is; any other iterable is
+    converted literal by literal.
+    """
 
     literals: frozenset[int]
 
     def __init__(self, literals: Iterable[int]):
-        lits = frozenset(int(l) for l in literals)
+        if type(literals) is frozenset:
+            lits = literals
+        else:
+            lits = frozenset(map(int, literals))
         if 0 in lits:
             raise ValueError("literal 0 is reserved as the clause terminator")
         object.__setattr__(self, "literals", lits)
-
-    def variables(self) -> set[int]:
-        return {abs(l) for l in self.literals}
 
     def __len__(self) -> int:
         return len(self.literals)
@@ -129,6 +134,19 @@ def _undecodable(exc: UnicodeDecodeError, line: int | None) -> DimacsError:
     return DimacsError(f"undecodable input ({exc.encoding}: {exc.reason})", line)
 
 
+def _whole_clause(tokens: list[str], known: dict[str, int]) -> frozenset[int] | None:
+    """The literals of a line that is one whole clause of tokens already
+    read as in-range literals (``known``), ending in its 0; None for any
+    other line."""
+    if len(tokens) < 2 or tokens[-1] != "0":
+        return None
+    lits = list(map(known.get, tokens))
+    lits.pop()
+    if None in lits:
+        return None
+    return frozenset(lits)
+
+
 def parse_dimacs(source: str | bytes | IO) -> CnfProblem:
     """Parse DIMACS CNF text.
 
@@ -144,16 +162,15 @@ def parse_dimacs(source: str | bytes | IO) -> CnfProblem:
     clauses: list[Clause] = []
     comments: list[str] = []
     pending: list[int] = []
+    known: dict[str, int] = {}  # token -> literal, once read as one in range
     ended = False
 
-    def finish_clause():
+    def finish_clause(lits: frozenset[int]):
         nonlocal seen
         seen += 1
-        lits = set(pending)
-        pending.clear()
-        if any(-l in lits for l in lits):
-            return  # tautology: its box would need both T and F at one spot
-        clauses.append(Clause(lits))
+        # a tautology is dropped: its box would need both T and F at one spot
+        if lits.isdisjoint(map(neg, lits)):
+            clauses.append(Clause(lits))
 
     line_no = 0
     for line_no, raw in enumerate(_text_lines(source), 1):
@@ -181,16 +198,23 @@ def parse_dimacs(source: str | bytes | IO) -> CnfProblem:
             continue
         if n < 0:
             raise DimacsError("clause before 'p cnf' header", line_no)
-        for token in line.split():
+        tokens = line.split()
+        lits = None if pending else _whole_clause(tokens, known)
+        if lits is not None:
+            finish_clause(lits)
+            continue
+        for token in tokens:
             try:
                 lit = int(token)
             except ValueError:
                 raise DimacsError(f"bad token {token!r}", line_no) from None
             if lit == 0:
-                finish_clause()
+                finish_clause(frozenset(pending))
+                pending.clear()
                 continue
             if not 1 <= abs(lit) <= n:
                 raise DimacsError(f"literal {lit} out of range 1..{n}", line_no)
+            known[token] = lit
             pending.append(lit)
 
     if n < 0:
@@ -207,18 +231,38 @@ def write_dimacs(cnf: CnfProblem, out: IO) -> None:
         out.write(f"c {comment}\n")
     out.write(f"p cnf {cnf.variable_count} {cnf.clause_count}\n")
     for cl in cnf.clauses:
-        out.write(" ".join(str(l) for l in cl) + " 0\n")
+        out.write(" ".join(map(str, cl)) + " 0\n")
+
+
+def clause_boxes(
+    literal_sets: Collection[frozenset[int]], n: int, order: VariableOrder
+) -> Iterator[Box]:
+    """The box of each literal set in turn, tautologies skipped: they
+    reject no assignment, so no box stands for them.
+
+    One table, built once from the literals that occur, gives each literal's
+    bit in a box's mask and in its val; a box is then two sums over it.  A
+    variable appearing twice (a tautology) adds its mask bit twice, which
+    carries, so the sum holds fewer set bits than the set has literals.
+    """
+    mask_bit: dict[int, int] = {}
+    val_bit: dict[int, int] = {}
+    for lit in frozenset().union(*literal_sets):
+        bit = 1 << (n - order.position_of(abs(lit)))
+        mask_bit[lit] = bit
+        val_bit[lit] = bit if lit < 0 else 0
+    mask_of, val_of = mask_bit.__getitem__, val_bit.__getitem__
+    for lits in literal_sets:
+        mask = sum(map(mask_of, lits))
+        if mask.bit_count() == len(lits):
+            yield Box(n, mask, sum(map(val_of, lits)))
 
 
 def clause_to_box(clause: Clause, n: int, order: VariableOrder) -> Box:
     """Box rejecting exactly the assignments that violate ``clause``."""
-    mask = val = 0
-    for lit in clause.literals:
-        bit = 1 << (n - order.position_of(abs(lit)))
-        mask |= bit
-        if lit < 0:
-            val |= bit
-    return Box(n, mask, val)
+    for box in clause_boxes([clause.literals], n, order):
+        return box
+    raise ValueError(f"tautology {sorted(clause.literals)} rejects no assignment, so has no box")
 
 
 def box_to_clause(box: Box, order: VariableOrder) -> Clause:

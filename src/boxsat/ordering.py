@@ -42,7 +42,8 @@ def _variable_sets(cnf: CnfProblem) -> Counter[tuple[int, ...]]:
     triangle query has thousands of clauses on a handful of variable sets),
     so the statistics loop once per set instead of once per clause.
     """
-    return Counter(tuple(sorted(cl.variables())) for cl in cnf.clauses)
+    sets = Counter(frozenset(map(abs, cl.literals)) for cl in cnf.clauses)
+    return Counter({tuple(sorted(vs)): copies for vs, copies in sets.items()})
 
 
 def free_variables(cnf: CnfProblem) -> list[int]:

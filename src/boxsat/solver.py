@@ -40,7 +40,7 @@ from typing import Callable, Iterator
 
 from .boxes import Box, BoxError, Trit, resolve, tail_resolvable
 from .clustertrie import BoxDatabase
-from .cnf import CnfProblem, VariableOrder, clause_to_box
+from .cnf import CnfProblem, VariableOrder, clause_boxes
 from .ordering import build_order
 
 
@@ -275,9 +275,12 @@ class SolverState:
 def build_database(
     cnf: CnfProblem, order: VariableOrder, lambda_skip: bool = True
 ) -> BoxDatabase:
-    db = BoxDatabase(cnf.variable_count, lambda_skip=lambda_skip)
-    for cl in cnf.clauses:
-        db.insert(clause_to_box(cl, cnf.variable_count, order))
+    n = cnf.variable_count
+    db = BoxDatabase(n, lambda_skip=lambda_skip)
+    # Equal literal sets give equal boxes, and inserting a box already
+    # stored changes nothing, so each set is converted and inserted once.
+    for box in clause_boxes(dict.fromkeys(cl.literals for cl in cnf.clauses), n, order):
+        db.insert(box)
     return db
 
 

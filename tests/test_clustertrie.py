@@ -404,3 +404,39 @@ class TestWideFormulas:
         assert db.find_containing(Box.point(n, 0)) is None
         assert sorted(map(repr, db.boxes())) == sorted(map(repr, stored))
         assert len(db.dump().splitlines()) == db.total_set_bits()
+
+
+class TestClusterPaths:
+    def test_stored_depth_and_path_match_the_slots_down(self):
+        """Every cluster's depth and path bits equal those recomputed from
+        the child slots on the way down from the root."""
+        rng = random.Random(0xBA7)
+        for trial in range(80):
+            n = rng.choice([1, 4, 5, 9, 16, 23, 40])
+            db = BoxDatabase(n, lambda_skip=trial % 2 == 0)
+            for _ in range(rng.randint(0, 40)):
+                db.insert(random_box(rng, n, lambda_weight=rng.randint(0, 6)))
+            want = {}
+            stack = [(db.root, 0, 0, 0)]
+            while stack:
+                c, depth, mask, val = stack.pop()
+                want[id(c)] = (depth, mask, val)
+                for slot, child in c.children.items():
+                    m = v = 0
+                    for t in rank_to_trits(slot):
+                        m = m << 1 | (t is not Trit.LAMBDA)
+                        v = v << 1 | (t is Trit.TRUE)
+                    stack.append((child, depth + 1, mask << 4 | m, val << 4 | v))
+            got = {id(c): (c.depth, c.mask, c.val) for c in db._clusters()}
+            assert got == want
+            for c in db._clusters():
+                assert c.mask.bit_length() <= 4 * c.depth
+
+    def test_paths_on_a_wide_trie_grow_with_depth_only(self):
+        n = 5000
+        db = BoxDatabase(n)
+        db.insert(Box(n, 0b1011 << 12, 0b0010 << 12))
+        deep = max(db._clusters(), key=lambda c: c.depth)
+        assert deep.depth == (n - 13) // 4
+        assert deep.mask.bit_length() <= 4 * deep.depth
+        assert list(db.boxes()) == [Box(n, 0b1011 << 12, 0b0010 << 12)]

@@ -17,7 +17,7 @@ from boxsat import (
     write_dimacs,
 )
 from boxsat.boxes import Trit
-from boxsat.cnf import point_to_literals
+from boxsat.cnf import _text_lines, point_to_literals
 
 from conftest import point_of_assignment, satisfies
 
@@ -220,3 +220,151 @@ class TestCnfProblem:
     def test_clause_rejects_zero(self):
         with pytest.raises(ValueError):
             Clause([0])
+
+
+def reference_parse_dimacs(source):
+    """The token-by-token parser the whole-clause fast path must agree with."""
+    n = -1
+    declared = -1
+    seen = 0
+    clauses = []
+    comments = []
+    pending = []
+    ended = False
+
+    def finish_clause():
+        nonlocal seen
+        seen += 1
+        lits = set(pending)
+        pending.clear()
+        if any(-l in lits for l in lits):
+            return
+        clauses.append(Clause(lits))
+
+    line_no = 0
+    for line_no, raw in enumerate(_text_lines(source), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("c"):
+            comments.append(line[1:].lstrip())
+            continue
+        if line.startswith("%"):
+            ended = True
+            break
+        if line.startswith("p"):
+            if n >= 0:
+                raise DimacsError("duplicate problem header", line_no)
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise DimacsError(f"malformed header {line!r}", line_no)
+            try:
+                n, declared = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise DimacsError(f"malformed header {line!r}", line_no) from None
+            if n < 0 or declared < 0:
+                raise DimacsError("negative counts in header", line_no)
+            continue
+        if n < 0:
+            raise DimacsError("clause before 'p cnf' header", line_no)
+        for token in line.split():
+            try:
+                lit = int(token)
+            except ValueError:
+                raise DimacsError(f"bad token {token!r}", line_no) from None
+            if lit == 0:
+                finish_clause()
+                continue
+            if not 1 <= abs(lit) <= n:
+                raise DimacsError(f"literal {lit} out of range 1..{n}", line_no)
+            pending.append(lit)
+
+    if n < 0:
+        raise DimacsError("missing 'p cnf' header", line_no or 1)
+    if pending and not ended:
+        raise DimacsError("unterminated clause at end of input", line_no)
+    if seen != declared:
+        raise DimacsError(f"header declares {declared} clauses, found {seen}", line_no)
+    return CnfProblem(n, clauses, comments)
+
+
+def random_dimacs(rng: random.Random) -> str:
+    """DIMACS text mixing every layout the parser accepts."""
+    n = rng.randint(0, 9)
+    out = [f"c {rng.choice(['hello', 'seed', ''])}" for _ in range(rng.randint(0, 2))]
+    m = rng.randint(0, 8)
+    declared = m + (rng.choice([-1, 1]) if rng.random() < 0.1 else 0)
+    out.append(f"p cnf {n} {declared}")
+    tokens_of = []
+    for _ in range(m):
+        width = rng.randint(0, 5) if n else 0
+        lits = [rng.choice([-1, 1]) * rng.randint(1, n) for _ in range(width)]
+        if lits and rng.random() < 0.15:
+            lits.append(-rng.choice(lits))  # tautology
+        if lits and rng.random() < 0.15:
+            lits.append(rng.choice(lits))  # duplicate literal
+        tokens = [f"+{l}" if l > 0 and rng.random() < 0.05 else str(l) for l in lits]
+        tokens_of.append(tokens + ["0"])
+    line: list[str] = []
+    for tokens in tokens_of:
+        if rng.random() < 0.2 and len(tokens) > 2:  # split over lines
+            cut = rng.randint(1, len(tokens) - 1)
+            out.append(" ".join(line + tokens[:cut]))
+            line = tokens[cut:]
+        else:
+            line += tokens
+        if rng.random() < 0.75:  # else the next clause shares the line
+            out.append(" ".join(line))
+            line = []
+        if rng.random() < 0.15:
+            out.append(rng.choice(["", "c between", "   ", "\t"]))
+    if line:
+        out.append(" ".join(line))
+    if rng.random() < 0.1:
+        out.append(rng.choice(["%", "%\n0", "%\n0\nnoise"]))
+    text = "\n".join(out)
+    return text if rng.random() < 0.2 else text + "\n"
+
+
+EDITS = ["x", "0", "00", "-0", "+1", "1.5", "10", "-10", "99", "p cnf 3 1", "c c", "%", "\n", " ", "-"]
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """One edit: a character deleted, or a fragment inserted or swapped in."""
+    i = rng.randrange(len(text) + 1)
+    kind = rng.randrange(3)
+    if kind == 0 and i < len(text):
+        return text[:i] + text[i + 1:]
+    piece = rng.choice(EDITS)
+    if kind == 1:
+        return text[:i] + piece + text[i:]
+    tokens = text.split(" ")
+    j = rng.randrange(len(tokens))
+    tokens[j] = piece
+    return " ".join(tokens)
+
+
+def outcome(parse, source):
+    try:
+        cnf = parse(source)
+    except DimacsError as exc:
+        return "error", str(exc)
+    return "ok", cnf.variable_count, [c.literals for c in cnf.clauses], cnf.comments
+
+
+class TestParseDifferential:
+    def test_matches_token_loop_on_random_and_mutated_text(self):
+        rng = random.Random(0xD1FF)
+        outcomes = []
+        for _ in range(600):
+            text = random_dimacs(rng)
+            for source in (text, mutate(rng, text), mutate(rng, mutate(rng, text))):
+                want = outcome(reference_parse_dimacs, source)
+                for form in (source, source.encode(), io.BytesIO(source.encode())):
+                    assert outcome(parse_dimacs, form) == want, source
+                outcomes.append(want)
+        # the inputs reach every outcome the parser has
+        errors = {o[1].split(": ", 1)[1].split(" ")[0] for o in outcomes if o[0] == "error"}
+        assert {"bad", "literal", "unterminated", "header", "duplicate",
+                "malformed", "clause"} <= errors
+        assert sum(o[0] == "ok" and len(o[2]) > 2 for o in outcomes) > 200

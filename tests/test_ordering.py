@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,6 +8,7 @@ import pytest
 from boxsat import Clause, CnfProblem, build_order, compute_stats
 from boxsat.ordering import (
     ORDERING_STRATEGIES,
+    _variable_sets,
     order_grouped_heuristic,
     order_grouped_optimal,
     order_minfill,
@@ -243,6 +245,18 @@ class TestAgainstPerClauseReference:
             assert stats.pair_min_size == pair_min
             got = order_grouped_heuristic(problem).as_sequence()
             assert got == reference_grouped_heuristic(problem)
+
+    def test_variable_sets_in_first_arrival_order(self):
+        rng = random.Random(37)
+        for _ in range(100):
+            n = rng.randint(1, 12)
+            problem = random_cnf(rng, n, rng.randint(0, 3 * n), width_hi=rng.randint(1, 6))
+            # the same variables under other signs make one variable set
+            problem.clauses += [Clause(-l if rng.random() < 0.5 else l for l in cl.literals)
+                                for cl in rng.sample(problem.clauses, len(problem.clauses) // 2)]
+            want = Counter(tuple(sorted({abs(l) for l in cl.literals})) for cl in problem.clauses)
+            got = _variable_sets(problem)
+            assert list(got.items()) == list(want.items())
 
 
 class TestFreeVariablesLast:

@@ -10,11 +10,13 @@ from boxsat import (
     Clause,
     CnfProblem,
     SolverConfig,
+    VariableOrder,
+    clause_to_box,
     parse_dimacs,
     run,
 )
 from boxsat.boxes import BoxError, Trit
-from boxsat.solver import SolverState, SweepTrace, advance
+from boxsat.solver import SolverState, SweepTrace, advance, build_database
 from boxsat.oracle import brute_count, brute_models
 
 from conftest import random_cnf
@@ -484,3 +486,52 @@ class TestLiteralStreaming:
         assert result.timed_out
         assert 0 < result.count == len(result.models) < 1 << 29
         assert len(set(result.models)) == result.count
+
+
+def reference_clause_box(clause: Clause, n: int, order: VariableOrder) -> Box:
+    """A clause's box built literal by literal."""
+    mask = val = 0
+    for lit in clause.literals:
+        bit = 1 << (n - order.position_of(abs(lit)))
+        mask |= bit
+        if lit < 0:
+            val |= bit
+    return Box(n, mask, val)
+
+
+class TestBuildDatabase:
+    def test_equals_one_insert_per_clause(self):
+        """Repeated and subsumed clauses, in both arrival orders, build the
+        trie that inserting every clause's box in turn builds."""
+        rng = random.Random(0xB1D)
+        for _ in range(150):
+            n = rng.randint(1, 14)
+            base = random_cnf(rng, n, rng.randint(1, 12)).clauses
+            clauses = list(base)
+            for cl in rng.choices(base, k=rng.randint(0, 8)):
+                if rng.random() < 0.5:
+                    clauses.append(cl)  # repeated
+                else:  # subsumed: a superset of cl's literals
+                    extra = [v if rng.random() < 0.5 else -v
+                             for v in range(1, n + 1) if v not in map(abs, cl.literals)]
+                    clauses.append(Clause(cl.literals | set(rng.sample(extra, min(2, len(extra))))))
+            rng.shuffle(clauses)
+            order = VariableOrder(rng.sample(range(1, n + 1), n))
+            for arrival in (clauses, clauses[::-1]):
+                cnf = CnfProblem(n, arrival)
+                for skip in (True, False):
+                    want = BoxDatabase(n, lambda_skip=skip)
+                    for cl in arrival:
+                        want.insert(reference_clause_box(cl, n, order))
+                    got = build_database(cnf, order, lambda_skip=skip)
+                    assert got.dump() == want.dump()
+                    assert len(got) == len(want)
+                    assert got.max_index == want.max_index
+
+    def test_tautology_has_no_box_and_is_skipped(self):
+        order = VariableOrder.identity(3)
+        with pytest.raises(ValueError, match="tautology"):
+            clause_to_box(Clause([1, -1, 2]), 3, order)
+        cnf = CnfProblem(3, [Clause([1, -1, 2]), Clause([2, -3]), Clause([3, -3])])
+        assert len(build_database(cnf, order)) == 1
+        assert run(cnf).count == brute_count(cnf) == 6
