@@ -33,13 +33,9 @@ EXIT_TIMEOUT = 3
 EXIT_VERIFY = 4
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we map to 1
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _open_input(path: str) -> IO:
@@ -170,19 +166,11 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_solve(args, enumerate_models=True)
         if args.command == "gen":
             return _cmd_gen(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _cmd_stats(args)  # subparsers are required, with fixed choices
     except (DimacsError, EdgeListError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:

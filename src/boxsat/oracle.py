@@ -12,14 +12,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .benchgen import GraphQuerySpec, InputGraph
 from .boxes import Box, Trit
 from .cnf import Clause, CnfProblem
 
 BRUTE_LIMIT = 24
-_CHUNK_BITS = 20
 
 
 class OracleLimitError(ValueError):
@@ -27,23 +24,34 @@ class OracleLimitError(ValueError):
 
 
 def brute_count(cnf: CnfProblem) -> int:
-    """Model count by enumerating all 2^n assignments (n <= 24)."""
+    """Model count over the full truth table of all 2^n assignments (n <= 24).
+
+    Each variable is one 2^n-bit int column whose bit a is set when the
+    variable is true in assignment a (bit v - 1 of a for variable v).  A
+    clause's column is the OR of its literals' columns, and the models are
+    the set bits of the AND over all clauses.
+    """
     n = cnf.variable_count
     if n > BRUTE_LIMIT:
         raise OracleLimitError(f"brute counting capped at {BRUTE_LIMIT} variables")
-    total = 0
-    chunk = 1 << min(n, _CHUNK_BITS)
-    for start in range(0, 1 << n, chunk):
-        assigns = np.arange(start, start + chunk, dtype=np.uint32)
-        ok = np.ones(len(assigns), dtype=bool)
-        for cl in cnf.clauses:
-            sat = np.zeros(len(assigns), dtype=bool)
-            for lit in cl.literals:
-                bit = (assigns >> (abs(lit) - 1)) & 1
-                sat |= bit == (1 if lit > 0 else 0)
-            ok &= sat
-        total += int(ok.sum())
-    return total
+    size = 1 << n
+    every = (1 << size) - 1
+    true_in = [0]
+    for v in range(1, n + 1):
+        half = 1 << (v - 1)
+        # one period, half zeros then half ones, doubled until it fills 2^n bits
+        column, width = ((1 << half) - 1) << half, 2 * half
+        while width < size:
+            column |= column << width
+            width *= 2
+        true_in.append(column)
+    models = every
+    for cl in cnf.clauses:
+        satisfied = 0
+        for lit in cl.literals:
+            satisfied |= true_in[lit] if lit > 0 else every ^ true_in[-lit]
+        models &= satisfied
+    return models.bit_count()
 
 
 def brute_models(cnf: CnfProblem) -> list[tuple[int, ...]]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Callable, Iterable
 
 from .cnf import CnfProblem, VariableOrder
@@ -114,9 +114,9 @@ def order_grouped_heuristic(cnf: CnfProblem) -> VariableOrder:
     return VariableOrder(out)
 
 
-# grouped-optimal holds every 4-subset of the variables at once.  The cap
-# admits n <= 71; there the ordering peaks about 80 MB above the rest of the
-# process with int64 weights, and 140 MB with Python-int ones.
+# grouped-optimal holds every 4-subset of the variables at once, with its
+# sort key.  The cap admits n <= 71; there the ordering peaks 125-145 MB
+# above the rest of the process.
 MAX_GROUP_SUBSETS = 1_000_000
 
 
@@ -125,8 +125,11 @@ def order_grouped_optimal(cnf: CnfProblem) -> VariableOrder:
     repeatedly take the one with maximal interconnectedness (ties: larger
     degree sum, then lexicographically smaller variable tuple).
 
-    One vectorized scan with exact integer weights; it holds every 4-subset
-    in memory at once, so it raises ``ValueError`` when there are more than
+    A subset's key never changes and subsets only drop out, so each round's
+    choice is the first subset of one descending sort whose variables are
+    all still ungrouped; the sort is stable over ``combinations``'
+    lexicographic order, which breaks the ties.  It holds every 4-subset in
+    memory at once, so it raises ``ValueError`` when there are more than
     ``MAX_GROUP_SUBSETS`` of them.
     """
     n = cnf.variable_count
@@ -136,39 +139,28 @@ def order_grouped_optimal(cnf: CnfProblem) -> VariableOrder:
             f"grouped-optimal needs all C({n}, 4) = {subsets:,} 4-subsets of the "
             f"variables, above its cap of {MAX_GROUP_SUBSETS:,}; choose another ordering"
         )
-    import numpy as np  # not at module level: most runs never group optimally
-
     stats = compute_stats(cnf)
-    scale = stats.closeness_scale()
-    # an interconnectedness sums six weights of at most ``scale``; past int64
-    # the same code runs on Python ints
-    theta = np.zeros((n + 1, n + 1), dtype=np.int64 if 6 * scale < 2**63 else object)
-    for (u, v), w in _scaled_theta(stats, scale).items():
-        theta[u, v] = theta[v, u] = w
-    degree = np.array(stats.degree, dtype=np.int64)
+    theta = [[0] * (n + 1) for _ in range(n + 1)]
+    for (u, v), w in _scaled_theta(stats, stats.closeness_scale()).items():
+        theta[u][v] = theta[v][u] = w
+    degree = stats.degree
+    above = 4 * max(degree) + 1  # exceeds every degree sum
 
-    flat = chain.from_iterable(combinations(range(1, n + 1), 4))
-    combos = np.fromiter(flat, dtype=np.int64, count=4 * subsets).reshape(-1, 4)
-    a, b, c, d = combos.T
-    ic = theta[a, b] + theta[a, c] + theta[a, d] + theta[b, c] + theta[b, d] + theta[c, d]
-    degsum = degree[a] + degree[b] + degree[c] + degree[d]
+    def key(group: tuple[int, ...]) -> int:
+        a, b, c, d = group
+        ta, tb = theta[a], theta[b]
+        together = ta[b] + ta[c] + ta[d] + tb[c] + tb[d] + theta[c][d]
+        return together * above + degree[a] + degree[b] + degree[c] + degree[d]
 
-    alive = np.ones(n + 1, dtype=bool)
-    alive[0] = False
+    grouped: set[int] = set()
     out: list[int] = []
-    for _ in range(n // 4):
-        valid = alive[combos].all(axis=1)
-        ics = np.where(valid, ic, -1)
-        best_ic = ics.max()
-        cand = valid & (ic == best_ic)
-        ds = np.where(cand, degsum, -1)
-        cand &= ds == ds.max()
-        rows = combos[np.nonzero(cand)[0]]
-        # lexicographically smallest variable tuple among the tied rows
-        group = [int(v) for v in rows[np.lexsort(rows.T[::-1])[0]]]
-        out.extend(_degree_descent(group, stats))
-        alive[group] = False
-    out.extend(_degree_descent(np.nonzero(alive)[0].tolist(), stats))
+    for group in sorted(combinations(range(1, n + 1), 4), key=key, reverse=True):
+        if grouped.isdisjoint(group):
+            grouped.update(group)
+            out.extend(_degree_descent(group, stats))
+            if len(grouped) + 4 > n:
+                break  # too few ungrouped variables left for another group
+    out.extend(_degree_descent((v for v in range(1, n + 1) if v not in grouped), stats))
     return VariableOrder(out)
 
 
