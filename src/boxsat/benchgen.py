@@ -193,28 +193,23 @@ def generate_cnf(
 
 
 def hidden_solution_blocks(
-    seed: int = 0,
-    blocks: int = 15,
-    block_size: int = 4,
-    total_clauses: int = 581,
-    extra_vars: int = 1,
+    seed: int = 0, blocks: int = 15, total_clauses: int = 581
 ) -> tuple[CnfProblem, list[list[int]]]:
     """Synthetic instance built from independent variable blocks.
 
     Each block receives its share of random width-2/3 clauses, filtered so a
     hidden assignment per block survives (every other block protects a second
     one), keeping the model count positive and exactly computable as the
-    product of per-block counts.  Defaults give 61 variables / 581 clauses.
+    product of per-block counts.  Each block has four variables, and the
+    last one more.  Defaults give 61 variables / 581 clauses.
     Returns the problem and the block variable groups.
     """
     import random
 
     rng = random.Random(seed)
-    n = blocks * block_size + extra_vars
-    groups = [
-        list(range(b * block_size + 1, (b + 1) * block_size + 1)) for b in range(blocks)
-    ]
-    groups[-1].extend(range(blocks * block_size + 1, n + 1))
+    n = 4 * blocks + 1
+    groups = [list(range(4 * b + 1, 4 * b + 5)) for b in range(blocks)]
+    groups[-1].append(n)
     per = total_clauses // blocks
     clauses: list[Clause] = []
     for b, vs in enumerate(groups):

@@ -23,7 +23,7 @@ from .benchgen import (
 )
 from .cnf import DimacsError, parse_dimacs, write_dimacs
 from .oracle import BRUTE_LIMIT, brute_count
-from .ordering import ORDERING_STRATEGIES, build_order, compute_stats, free_variables
+from .ordering import ORDERING_STRATEGIES, build_order, compute_stats
 from .solver import SolverConfig, run
 
 EXIT_OK = 0
@@ -141,15 +141,15 @@ def _cmd_stats(args) -> int:
         cnf = parse_dimacs(fh)
     stats = compute_stats(cnf)
     order = build_order(cnf, args.ordering)
-    out = sys.stdout
-    out.write(f"n {cnf.variable_count}\n")
-    out.write(f"m {cnf.clause_count}\n")
-    # variables in no clause: the tail every ordering ends with, which the
-    # sweep widens each model over
-    out.write(f"free {len(free_variables(cnf))}\n")
     histogram: dict[int, int] = {}
     for v in range(1, cnf.variable_count + 1):
         histogram[stats.degree[v]] = histogram.get(stats.degree[v], 0) + 1
+    out = sys.stdout
+    out.write(f"n {cnf.variable_count}\n")
+    out.write(f"m {cnf.clause_count}\n")
+    # variables in no clause (degree 0): the tail every ordering ends with,
+    # which the sweep widens each model over
+    out.write(f"free {histogram.get(0, 0)}\n")
     for deg in sorted(histogram):
         out.write(f"degree {deg} {histogram[deg]}\n")
     out.write(f"ordering {args.ordering} " + " ".join(map(str, order.as_sequence())) + "\n")

@@ -10,6 +10,9 @@ whole constraint).
 Closeness between two variables is 1/(size of the smallest clause containing
 both - 1).  All arithmetic on closeness uses exact scaled integers so that
 tie-breaks never depend on float rounding.
+
+Every strategy ends with the variables that occur in no clause, in
+increasing order: the sweep widens each model over that free tail.
 """
 
 from __future__ import annotations
@@ -25,14 +28,14 @@ from .cnf import CnfProblem, VariableOrder
 
 @dataclass
 class VariableStats:
-    n: int
     degree: list[int]  # 1-based; degree[0] unused
     pair_min_size: dict[tuple[int, int], int]  # (u, v) u<v -> smallest co-clause size
 
-    def closeness_scale(self) -> int:
-        """LCM of occurring denominators; closeness * scale is integral."""
-        denoms = {s - 1 for s in self.pair_min_size.values()}
-        return math.lcm(*denoms) if denoms else 1
+    def scaled_closeness(self) -> dict[tuple[int, int], int]:
+        """Each pair's closeness times the LCM of the occurring denominators,
+        which makes every value an exact int."""
+        scale = math.lcm(*{s - 1 for s in self.pair_min_size.values()})
+        return {pair: scale // (s - 1) for pair, s in self.pair_min_size.items()}
 
 
 def _variable_sets(cnf: CnfProblem) -> Counter[tuple[int, ...]]:
@@ -46,12 +49,6 @@ def _variable_sets(cnf: CnfProblem) -> Counter[tuple[int, ...]]:
     return Counter({tuple(sorted(vs)): copies for vs, copies in sets.items()})
 
 
-def free_variables(cnf: CnfProblem) -> list[int]:
-    """Variables that occur in no clause, in increasing order."""
-    used = {abs(l) for l in frozenset().union(*(cl.literals for cl in cnf.clauses))}
-    return [v for v in range(1, cnf.variable_count + 1) if v not in used]
-
-
 def compute_stats(cnf: CnfProblem) -> VariableStats:
     degree = [0] * (cnf.variable_count + 1)
     pair_min: dict[tuple[int, int], int] = {}
@@ -63,7 +60,7 @@ def compute_stats(cnf: CnfProblem) -> VariableStats:
             old = pair_min.get(pair)
             if old is None or size < old:
                 pair_min[pair] = size
-    return VariableStats(cnf.variable_count, degree, pair_min)
+    return VariableStats(degree, pair_min)
 
 
 def _degree_descent(variables: Iterable[int], stats: VariableStats) -> list[int]:
@@ -86,7 +83,7 @@ def order_grouped_heuristic(cnf: CnfProblem) -> VariableOrder:
     stats = compute_stats(cnf)
     degree = stats.degree
     near: dict[int, dict[int, int]] = {}
-    for (u, v), w in _scaled_theta(stats, stats.closeness_scale()).items():
+    for (u, v), w in stats.scaled_closeness().items():
         near.setdefault(u, {})[v] = w
         near.setdefault(v, {})[u] = w
     variables = range(1, cnf.variable_count + 1)
@@ -141,7 +138,7 @@ def order_grouped_optimal(cnf: CnfProblem) -> VariableOrder:
         )
     stats = compute_stats(cnf)
     theta = [[0] * (n + 1) for _ in range(n + 1)]
-    for (u, v), w in _scaled_theta(stats, stats.closeness_scale()).items():
+    for (u, v), w in stats.scaled_closeness().items():
         theta[u][v] = theta[v][u] = w
     degree = stats.degree
     above = 4 * max(degree) + 1  # exceeds every degree sum
@@ -162,10 +159,6 @@ def order_grouped_optimal(cnf: CnfProblem) -> VariableOrder:
                 break  # too few ungrouped variables left for another group
     out.extend(_degree_descent((v for v in range(1, n + 1) if v not in grouped), stats))
     return VariableOrder(out)
-
-
-def _scaled_theta(stats: VariableStats, scale: int) -> dict[tuple[int, int], int]:
-    return {pair: scale // (s - 1) for pair, s in stats.pair_min_size.items()}
 
 
 # -- elimination orderings on the primal graph ----------------------------
@@ -232,14 +225,11 @@ ORDERING_STRATEGIES: dict[str, Callable[[CnfProblem], VariableOrder]] = {
 
 
 def build_order(cnf: CnfProblem, strategy: str) -> VariableOrder:
+    """The named strategy's order, which already ends with the free tail."""
     try:
         fn = ORDERING_STRATEGIES[strategy]
     except KeyError:
         raise ValueError(
             f"unknown ordering {strategy!r}; choose from {sorted(ORDERING_STRATEGIES)}"
         ) from None
-    # The sweep widens each model over the trailing positions no clause
-    # fixes, so variables in no clause go last, whatever the strategy.
-    seq = fn(cnf).as_sequence()
-    free = set(free_variables(cnf))
-    return VariableOrder([v for v in seq if v not in free] + [v for v in seq if v in free])
+    return fn(cnf)

@@ -7,8 +7,9 @@ model.  The box a step finds (or the model) feeds a resolution cascade: a
 box ending in F waits in the slot array ``left`` until its T-ending sibling
 shows up, the pair resolves to a box one index shorter, and the chain
 cascades.  The step then advances the probe once, past everything the
-cascade's last box covers.  The run ends when the cascade produces the all-λ
-box (the whole space is covered) or the probe walks off the end of the space.
+cascade's last box covers.  The run ends on one condition: the probe walks
+off the end of the space.  Only the all-λ box carries it there, since any
+other last box ends in F, as the probe does at that position.
 
 Resolved boxes enter the cache only when their λ fraction reaches the
 configured insertion ratio; caching everything bloats the trie faster than
@@ -61,6 +62,8 @@ class SolverConfig:
             raise ValueError("insertion_ratio must lie in [0, 1]")
         if self.mode not in ("count", "enumerate"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.timeout is not None and not self.timeout >= 0:  # NaN fails too
+            raise ValueError(f"timeout must be a number of seconds >= 0, not {self.timeout}")
 
 
 @dataclass
@@ -126,23 +129,22 @@ class SolverState:
         self.left: list[Box | None] = [None] * (n + 1)
         self.probe = Box.point(n, 0)
         self.model_count = 0
-        # models are retained only when nothing streams them
+        # with no sink given, enumerate mode streams models into ``models``
         retain = self.config.mode == "enumerate" and on_model is None
         self.models: list[Box] | None = [] if retain else None
-        self.on_model = on_model
+        self.on_model = self.models.append if retain else on_model
         # what a model box streams as: its points, unless ``run`` installs
         # the literal-tuple expansion
         self._expand: Callable[[Box], Iterator] = self._points
         self.trace = trace
         self.covered = False
-        self.exhausted = False
         self.timed_out = False
         self.deadline: float | None = None  # set by run_loop
         self.iterations = 0
 
     @property
     def done(self) -> bool:
-        return self.covered or self.exhausted or self.timed_out
+        return self.covered or self.timed_out
 
     def gate_passes(self, r: Box) -> bool:
         """Selective insertion: enough of the box must be wildcards."""
@@ -157,8 +159,6 @@ class SolverState:
             # the probe missed the cache, and this box holds the probe, so no
             # cache box can contain it
             self.cache.add_uncovered(box)
-        if box.mask == 0:
-            self.covered = True
 
     def resolve_cascade(self, b: Box) -> Box:
         """Feed the just-processed box through the pending-resolution slots.
@@ -196,11 +196,10 @@ class SolverState:
         sweep order.  Returns False, counting only the points already
         streamed, if the deadline passes part-way."""
         size = 1 << m.lambda_count
-        models, on_model, deadline = self.models, self.on_model, self.deadline
-        if models is None and on_model is None:
+        sink, deadline = self.on_model, self.deadline
+        if sink is None:
             self.model_count += size
             return True
-        sink = models.append if models is not None else on_model
         expanded = self._expand(m)
         # the deadline is checked before every 256 models but the first
         for streamed in range(0, size, 256):
@@ -245,7 +244,7 @@ class SolverState:
         # skips to.
         nxt = advance(self.resolve_cascade(b), p)
         if nxt is None:
-            self.exhausted = True
+            self.covered = True
         else:
             self.probe = nxt
         self.iterations += 1
@@ -308,7 +307,6 @@ def run(
     cnf: CnfProblem,
     config: SolverConfig | None = None,
     on_model: Callable[[tuple[int, ...]], None] | None = None,
-    trace: SweepTrace | None = None,
 ) -> SolveResult:
     """Count (or enumerate) the models of ``cnf``.
 
@@ -326,8 +324,8 @@ def run(
     load_seconds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    state = SolverState(cnf.variable_count, database, config, on_model=on_model, trace=trace)
-    if state.models is not None or on_model is not None:
+    state = SolverState(cnf.variable_count, database, config, on_model=on_model)
+    if state.on_model is not None:
         state._expand = _literal_models(order, database.max_index)
     timed_out = state.run_loop(deadline)
     run_seconds = time.perf_counter() - t1

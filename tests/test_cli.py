@@ -180,6 +180,15 @@ class TestUsageErrors:
         assert "cap of 1,000,000" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("seconds", ["nan", "-1"])
+    def test_timeout_not_a_duration(self, example1_path, capsys, seconds):
+        # NaN never passes a deadline check; -1 would time out at once
+        assert main(["count", example1_path, "--timeout", seconds]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: timeout must be a number of seconds >= 0")
+        assert "Traceback" not in captured.err
+        assert "s MODELS" not in captured.out
+
     def test_out_of_memory(self, example1_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError
@@ -278,6 +287,11 @@ class TestStats:
         assert lines[1] == "m 3"
         assert any(l.startswith("degree ") for l in lines)
         assert lines[-1] == "ordering naive-degree 2 1 3"
+
+    def test_example1_has_no_free_variables(self, example1_path, capsys):
+        # ``free`` is the degree-0 entry of the histogram
+        assert main(["stats", example1_path]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[2] == "free 0"
 
     def test_free_variables(self, tmp_path, capsys):
         path = tmp_path / "free.cnf"

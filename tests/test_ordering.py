@@ -313,6 +313,27 @@ def padded(rng, k, free):
     )
 
 
+class TestStrategiesOwnTheFreeTail:
+    def test_raw_order_ends_with_the_free_variables(self):
+        # build_order returns the strategy's order as it is, so each
+        # strategy must itself end with the free variables, in order
+        rng = random.Random(44)
+        residues = set()
+        for _ in range(60):
+            # n <= 30 keeps grouped-optimal far under its cap
+            problem = padded(rng, rng.randint(1, 14), rng.randint(0, 16))
+            used = {abs(l) for c in problem.clauses for l in c.literals}
+            residues.add(len(used) % 4)
+            free = tuple(v for v in range(1, problem.variable_count + 1) if v not in used)
+            for name, strategy in ORDERING_STRATEGIES.items():
+                seq = strategy(problem).as_sequence()
+                assert seq[len(used):] == free, name
+                assert build_order(problem, name).as_sequence() == seq, name
+        # grouped-optimal groups free variables only once fewer than four
+        # clause variables are left, so every remainder must occur
+        assert residues == {0, 1, 2, 3}
+
+
 class TestFreeVariablesOutOfTheLoops:
     def test_build_order_matches_loops_over_every_variable(self):
         rng = random.Random(43)

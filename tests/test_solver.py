@@ -209,6 +209,15 @@ class TestRun:
         assert result.iterations <= 2
         assert result.order.as_sequence()[0] == 1
 
+    def test_timeout_must_be_a_duration(self, example1):
+        # NaN compares false with every deadline, so it would never fire
+        for bad in (float("nan"), -1.0, float("-inf")):
+            with pytest.raises(ValueError, match="timeout"):
+                SolverConfig(timeout=bad)
+        for ok in (None, 0, 0.0, float("inf")):
+            assert SolverConfig(timeout=ok).timeout == ok
+        assert run(example1, SolverConfig(timeout=float("inf"))).count == 3
+
     def test_timeout_counts_the_ordering(self, example1, monkeypatch):
         import boxsat.solver as solver
 
@@ -336,9 +345,34 @@ class TestSweepInvariants:
             if not state.done:
                 assert not any(box.contains(state.probe) for box in [b, *resolvents])
 
+    def test_run_ends_on_the_step_that_caches_the_all_lambda_box(self):
+        # ``covered`` stays False until the probe walks off the end, and the
+        # all-λ box is then the last cache insert, made exactly once
+        rng = random.Random(66)
+        for i in range(26):
+            n = i % 13
+            # with n = 0 every random clause is the empty clause
+            cnf = random_cnf(rng, n, rng.randint(0, 2 * n + 1))
+            if i % 4 == 3:
+                cnf.clauses.append(Clause([]))
+            whole = Box.all_lambda(n)
+            for name in ORDERING_STRATEGIES:
+                for ratio in (0.0, 0.45, 1.0):
+                    for skip in (True, False):
+                        config = SolverConfig(
+                            insertion_ratio=ratio, ordering=name, lambda_skip=skip
+                        )
+                        state, trace, _, _ = self.drive(cnf, config)
+                        while state.step():
+                            assert not state.covered
+                        assert state.covered and not state.timed_out
+                        inserts = [box for box, _ in trace.cache_inserts]
+                        assert inserts.count(whole) == 1 and inserts[-1] == whole
+                        assert state.model_count == brute_count(cnf)
+
     def test_termination_signals(self):
-        # covered: the cascade builds the all-λ box; exhausted: the probe
-        # walks off the end with caching suppressed
+        # the run ends when the probe walks off the end, which only the
+        # all-λ box does; ratio 1 caches no other resolvent, yet admits it
         state = walkthrough_state()
         while state.step():
             pass
