@@ -14,17 +14,20 @@ query's matches:
   path once per direction;
 * domain clauses: codewords beyond the vertex count are rejected per slot.
 
-A rejection clause's literal for bit t is positive exactly when the rejected
-vertex's bit t is 0, i.e. the clause is violated only by the exact codeword.
+Every clause comes from one codeword table, built once per formula: entry
+``[slot][w]`` holds the literals that are all false exactly when ``slot``
+holds codeword ``w`` (bit t's literal is positive exactly when w's bit t
+is 0).  A rejection clause is the union of two slots' entries, a domain
+clause is one entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import IO, Iterable
 
-from .cnf import Clause, CnfProblem
+from .cnf import Clause, CnfProblem, _text_lines
 
 
 class EdgeListError(ValueError):
@@ -79,18 +82,10 @@ class GraphQuerySpec:
         return [(i, i + 1) for i in range(self.size - 1)]
 
 
-def _decoded(lines: Iterable[str]) -> Iterator[str]:
-    """``lines``, with an undecodable text stream's error as
-    :class:`EdgeListError`; a stream decodes ahead in chunks, so the error
-    names no line."""
-    try:
-        yield from lines
-    except UnicodeDecodeError as exc:
-        raise EdgeListError(f"undecodable input ({exc.encoding}: {exc.reason})") from None
-
-
-def read_edge_list(source: str | Iterable[str]) -> InputGraph:
+def read_edge_list(source: str | bytes | Iterable[str] | IO) -> InputGraph:
     """Parse whitespace-separated "u v" lines; '#' lines are comments.
+    Lines are read as DIMACS lines are, so undecodable input raises
+    :class:`EdgeListError`, naming its line where the source is binary.
 
     Vertex ids are densified to 0..V-1 in first-appearance order; duplicate
     and reversed edges merge, self-loops are dropped (their endpoints still
@@ -106,7 +101,7 @@ def read_edge_list(source: str | Iterable[str]) -> InputGraph:
             ids[raw] = len(ids)
         return ids[raw]
 
-    for line_no, raw in enumerate(_decoded(source), start=1):
+    for line_no, raw in enumerate(_text_lines(source, EdgeListError), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -146,40 +141,33 @@ def generate_cnf(
             f"query needs {n} variables, above the cap of {max_variables}"
         )
 
-    def slot_literals(slot: int, vertex: int) -> list[int]:
-        lits = []
-        for t in range(bits):
-            var = slot * bits + t + 1
-            bit = (vertex >> (bits - 1 - t)) & 1
-            lits.append(-var if bit else var)
-        return lits
-
+    codes = [
+        [
+            frozenset(
+                -var if (w >> (bits - 1 - t)) & 1 else var
+                for t, var in enumerate(range(slot * bits + 1, (slot + 1) * bits + 1))
+            )
+            for w in range(1 << bits)
+        ]
+        for slot in range(k)
+    ]
     clauses: list[Clause] = []
-
-    def reject(i: int, u: int, j: int, v: int) -> None:
-        clauses.append(Clause(slot_literals(i, u) + slot_literals(j, v)))
-
     pairs = query.slot_pairs()
     for i, j in pairs:
         for u in range(v_count):
             for v in range(v_count):
                 if not graph.has_edge(u, v):
-                    reject(i, u, j, v)
+                    clauses.append(Clause(codes[i][u] | codes[j][v]))
 
-    if query.kind == "clique":
-        for i, j in pairs:
-            for u in range(v_count):
-                for v in range(u + 1):
-                    reject(i, u, j, v)
-    else:
-        first, last = 0, k - 1
+    # symmetry breaking: every clique slot pair ascends, a path's endpoints do
+    for i, j in pairs if query.kind == "clique" else [(0, k - 1)]:
         for u in range(v_count):
             for v in range(u + 1):
-                reject(first, u, last, v)
+                clauses.append(Clause(codes[i][u] | codes[j][v]))
 
     for slot in range(k):
         for w in range(v_count, 1 << bits):
-            clauses.append(Clause(slot_literals(slot, w)))
+            clauses.append(Clause(codes[slot][w]))
 
     comments = [
         f"query {query.kind} size={k}",

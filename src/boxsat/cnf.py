@@ -57,10 +57,11 @@ class CnfProblem:
     comments: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        for cl in self.clauses:
-            for lit in cl.literals:
-                if not 1 <= abs(lit) <= self.variable_count:
-                    raise ValueError(f"literal {lit} out of range 1..{self.variable_count}")
+        # Clause already rejects 0, so the extremes bound every |literal|
+        if lits := frozenset().union(*[cl.literals for cl in self.clauses]):
+            n, low, high = self.variable_count, min(lits), max(lits)
+            if low < -n or high > n:
+                raise ValueError(f"literal {low if low < -n else high} out of range 1..{n}")
 
     @property
     def clause_count(self) -> int:
@@ -103,35 +104,24 @@ class VariableOrder:
         return f"VariableOrder({self._variable})"
 
 
-def _text_lines(source: str | bytes | IO):
-    """Lines of a text or binary source; undecodable input raises
-    :class:`DimacsError`.  Binary lines decode as UTF-8 one at a time, so the
-    error names its line; a text stream decodes ahead in chunks, so its
-    error cannot."""
+def _text_lines(source: str | bytes | IO | Iterable[str], error: type[ValueError] = DimacsError):
+    """Lines of a text or binary source; undecodable input raises the
+    caller's ``error`` class.  Binary lines decode as UTF-8 one at a time,
+    so the error names its line; a text stream decodes ahead in chunks, so
+    its error cannot."""
     if isinstance(source, bytes):
         source = io.BytesIO(source)
     elif isinstance(source, str):
         source = io.StringIO(source)
-    lines = iter(source)
-    line_no = 0
-    while True:
-        try:
-            raw = next(lines)
-        except StopIteration:
-            return
-        except UnicodeDecodeError as exc:
-            raise _undecodable(exc, None) from None
-        line_no += 1
-        if isinstance(raw, bytes):
-            try:
+    line = None  # the binary line being decoded
+    try:
+        for line_no, raw in enumerate(source, 1):
+            if isinstance(raw, bytes):
+                line = line_no
                 raw = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise _undecodable(exc, line_no) from None
-        yield raw
-
-
-def _undecodable(exc: UnicodeDecodeError, line: int | None) -> DimacsError:
-    return DimacsError(f"undecodable input ({exc.encoding}: {exc.reason})", line)
+            yield raw
+    except UnicodeDecodeError as exc:
+        raise error(f"undecodable input ({exc.encoding}: {exc.reason})", line) from None
 
 
 def _whole_clause(tokens: list[str], known: dict[str, int]) -> frozenset[int] | None:

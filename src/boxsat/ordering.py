@@ -164,19 +164,6 @@ def order_grouped_optimal(cnf: CnfProblem) -> VariableOrder:
 # -- elimination orderings on the primal graph ----------------------------
 
 
-def _primal_graph(cnf: CnfProblem) -> dict[int, set[int]]:
-    """Co-occurrence graph of the clause variables; a variable in no clause
-    would be an isolated vertex, and is left out."""
-    adj: dict[int, set[int]] = {}
-    for vs in _variable_sets(cnf):
-        for v in vs:
-            adj.setdefault(v, set())
-        for u, v in combinations(vs, 2):
-            adj[u].add(v)
-            adj[v].add(u)
-    return adj
-
-
 def _fill_count(adj: dict[int, set[int]], v: int) -> int:
     nbrs = sorted(adj[v])
     return sum(1 for a, b in combinations(nbrs, 2) if b not in adj[a])
@@ -187,9 +174,15 @@ def _eliminate_greedily(
 ) -> VariableOrder:
     """Eliminate the vertex of least ``key(adj, u)`` until the primal graph
     is empty, joining its neighbours pairwise each time; variables in no
-    clause follow."""
-    adj = _primal_graph(cnf)
-    free = [v for v in range(1, cnf.variable_count + 1) if v not in adj]
+    clause follow.  The primal graph's vertices are the clause variables
+    and its edges the co-occurring pairs, which the statistics list."""
+    stats = compute_stats(cnf)
+    variables = range(1, cnf.variable_count + 1)
+    adj: dict[int, set[int]] = {v: set() for v in variables if stats.degree[v]}
+    for u, v in stats.pair_min_size:
+        adj[u].add(v)
+        adj[v].add(u)
+    free = [v for v in variables if not stats.degree[v]]
     out = []
     while adj:
         v = min(adj, key=lambda u: key(adj, u))

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from boxsat import SolverConfig, parse_dimacs, run, write_dimacs
+from boxsat import Clause, CnfProblem, SolverConfig, parse_dimacs, run, write_dimacs
 from boxsat.benchgen import (
     EdgeListError,
     GenerationError,
@@ -59,6 +59,116 @@ class TestReadEdgeList:
     def test_wrong_token_count(self):
         with pytest.raises(EdgeListError, match="line 1"):
             read_edge_list("0 1 2\n")
+
+
+def random_edge_text(rng: random.Random) -> str:
+    """Edge-list text with comments, blank lines, CRLF endings and, now
+    and then, a malformed line."""
+    lines = []
+    for _ in range(rng.randint(0, 12)):
+        roll = rng.random()
+        if roll < 0.1:
+            lines.append(rng.choice(["# note", "", "   "]))
+        elif roll < 0.15:
+            lines.append(rng.choice(["0 x", "1 2 3", "7"]))
+        else:
+            lines.append(f"{rng.randint(0, 9)} {rng.randint(0, 9)}")
+    return "".join(line + rng.choice(["\n", "\r\n"]) for line in lines)
+
+
+def edge_outcome(source):
+    try:
+        return "ok", read_edge_list(source)
+    except EdgeListError as exc:
+        return "error", str(exc)
+
+
+class TestEdgeListSources:
+    def test_every_source_form_reads_the_same(self):
+        rng = random.Random(0xED6E)
+        outcomes = []
+        for _ in range(300):
+            text = random_edge_text(rng)
+            want = edge_outcome(text)
+            for form in (text.encode(), io.BytesIO(text.encode()), io.StringIO(text)):
+                assert edge_outcome(form) == want, text
+            outcomes.append(want)
+        assert sum(o[0] == "ok" and len(o[1].edges) > 2 for o in outcomes) > 100
+        assert sum(o[0] == "error" for o in outcomes) > 30
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["bytes", "binary-stream"])
+    def test_non_utf8_names_its_line(self, binary):
+        data = b"0 1\n\xff\xfe 2\n"
+        with pytest.raises(EdgeListError, match="^line 2: undecodable"):
+            read_edge_list(io.BytesIO(data) if binary else data)
+
+    def test_non_utf8_text_stream_names_no_line(self):
+        stream = io.TextIOWrapper(io.BytesIO(b"0 1\n\xff\xfe 2\n"), encoding="utf-8")
+        with pytest.raises(EdgeListError, match="^undecodable"):
+            read_edge_list(stream)
+
+
+def reference_generate(graph: InputGraph, query: GraphQuerySpec) -> list[list[int]]:
+    """The query's clauses built literal by literal, one slot codeword at a
+    time, in the generator's clause order."""
+    v_count, k = graph.vertex_count, query.size
+    bits = bits_per_vertex(v_count)
+
+    def slot_literals(slot: int, vertex: int) -> list[int]:
+        lits = []
+        for t in range(bits):
+            var = slot * bits + t + 1
+            lits.append(-var if (vertex >> (bits - 1 - t)) & 1 else var)
+        return lits
+
+    clauses = []
+    if query.kind == "clique":
+        pairs = list(combinations(range(k), 2))
+    else:
+        pairs = [(i, i + 1) for i in range(k - 1)]
+    for i, j in pairs:
+        for u in range(v_count):
+            for v in range(v_count):
+                if not graph.has_edge(u, v):
+                    clauses.append(slot_literals(i, u) + slot_literals(j, v))
+    if query.kind == "clique":
+        for i, j in pairs:
+            for u in range(v_count):
+                for v in range(u + 1):
+                    clauses.append(slot_literals(i, u) + slot_literals(j, v))
+    else:
+        for u in range(v_count):
+            for v in range(u + 1):
+                clauses.append(slot_literals(0, u) + slot_literals(k - 1, v))
+    for slot in range(k):
+        for w in range(v_count, 1 << bits):
+            clauses.append(slot_literals(slot, w))
+    return clauses
+
+
+def dimacs_text(cnf) -> str:
+    buf = io.StringIO()
+    write_dimacs(cnf, buf)
+    return buf.getvalue()
+
+
+class TestGeneratorDifferential:
+    def test_matches_literal_by_literal_encoder(self):
+        rng = random.Random(0x6E4)
+        # path 2 on one edge: (0, k - 1) is the only slot pair
+        cases = [(read_edge_list("0 1\n"), GraphQuerySpec("path", 2))]
+        for kind in ("clique", "path"):
+            for size in range(2, 6):
+                # vertex counts off a power of two bring domain clauses
+                for v in (2, 3, 4, 5, 8, rng.randint(6, 7), rng.randint(9, 12)):
+                    g = random_graph(rng, v, rng.uniform(0.1, 0.9))
+                    cases.append((g, GraphQuerySpec(kind, size)))
+        for g, query in cases:
+            cnf = generate_cnf(g, query)
+            ref = reference_generate(g, query)
+            assert [c.literals for c in cnf.clauses] == [frozenset(l) for l in ref]
+            expected = CnfProblem(cnf.variable_count, [Clause(l) for l in ref], cnf.comments)
+            assert dimacs_text(cnf) == dimacs_text(expected)
 
 
 class TestGenerateCnf:

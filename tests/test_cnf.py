@@ -221,6 +221,23 @@ class TestCnfProblem:
         with pytest.raises(ValueError):
             Clause([0])
 
+    @pytest.mark.parametrize("lit", [4, -4])
+    def test_one_past_n_is_out_of_range(self, lit):
+        with pytest.raises(ValueError, match=r"out of range 1\.\.3"):
+            CnfProblem(3, [Clause([1]), Clause([lit, 2])])
+
+    def test_plus_and_minus_n_accepted(self):
+        cnf = CnfProblem(3, [Clause([3, -2]), Clause([-3, 1])])
+        assert cnf.clause_count == 2
+
+    def test_empty_clause_and_no_clauses_accepted(self):
+        assert CnfProblem(0, [Clause([])]).clause_count == 1
+        assert CnfProblem(3, []).clause_count == 0
+
+    def test_bad_literals_in_two_clauses_one_named(self):
+        with pytest.raises(ValueError, match=r"^literal (-5|7) out of range 1\.\.3$"):
+            CnfProblem(3, [Clause([1, -5]), Clause([2]), Clause([7, 3])])
+
 
 def reference_parse_dimacs(source):
     """The token-by-token parser the whole-clause fast path must agree with."""
