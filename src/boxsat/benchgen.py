@@ -84,15 +84,14 @@ class GraphQuerySpec:
 
 def read_edge_list(source: str | bytes | Iterable[str] | IO) -> InputGraph:
     """Parse whitespace-separated "u v" lines; '#' lines are comments.
-    Lines are read as DIMACS lines are, so undecodable input raises
-    :class:`EdgeListError`, naming its line where the source is binary.
+    Lines are read as DIMACS lines are, from a ``str`` too: only ``\n``
+    ends a line, and undecodable input raises :class:`EdgeListError`,
+    naming its line where the source is binary.
 
     Vertex ids are densified to 0..V-1 in first-appearance order; duplicate
     and reversed edges merge, self-loops are dropped (their endpoints still
     count as vertices).
     """
-    if isinstance(source, str):
-        source = source.splitlines()
     ids: dict[int, int] = {}
     edges: set[tuple[int, int]] = set()
 

@@ -28,6 +28,15 @@ slot's 4-bit field, shifted into place.  Besides "some containing box"
 trie answers "the containing box with the smallest index"
 (``smallest_containing``) in one walk that skips every subtree too deep to
 beat the best box found so far.
+
+``find_containing(q, settled)`` takes a promise from the caller: no cluster
+on the all-λ chain (the root, its slot-40 child, that child's slot-40
+child, ...) lying wholly before position ``settled`` holds a box containing
+``q``.  The walk follows the chain down to depth ``settled // 4`` without
+reading those clusters' masks, searches from there, and returns to the
+hopped clusters' other children only on a miss.  The sweep's consecutive
+probes share long prefixes, so it can make that promise for most of the
+chain (see ``solver``); the default 0 promises nothing.
 """
 
 from __future__ import annotations
@@ -261,12 +270,21 @@ class BoxDatabase:
         ]
         self.box_count += 1
 
-    def find_containing(self, q: Box) -> Box | None:
+    def find_containing(self, q: Box, settled: int = 0) -> Box | None:
         """Some stored box containing ``q``, or None.
 
         Greedy per cluster: a box hit with the smallest index wins outright;
         otherwise matching children are scanned in increasing slot order and
         the first hit found below is returned.
+
+        ``settled`` is the caller's promise that no cluster on the all-λ
+        chain (root, its slot-40 child, that child's slot-40 child, ...)
+        lying wholly before position ``settled`` holds a box containing
+        ``q``.  The walk hops those clusters without reading their masks and
+        starts at the chain cluster below them; only if nothing is found
+        there does it go back up, deepest first, for their other children.
+        That is the order the unhinted walk takes, so the result is the
+        same, with fewer clusters visited.
         """
         self._check_length(q)
         qm, qv = q.mask, q.val
@@ -274,24 +292,49 @@ class BoxDatabase:
         box_tab, child_tab = self._tables.box_containers, self._tables.child_containers
         visits = 0
         stack = [self.root]
-        while stack:
-            cluster = stack.pop()
-            if skip:
-                while not cluster.boxes_mask and cluster.children_mask == _ALL_LAMBDA_CHILD_BIT:
-                    cluster = cluster.children[CHILD_SLOT_LOW]
-            visits += 1
-            shift, width, ranks = fields[cluster.depth]
-            rank = ranks[((qm >> shift) & width) << 4 | ((qv >> shift) & width)]
-            hits = cluster.boxes_mask & box_tab[rank]
-            if hits:
-                self.cluster_visits += visits
-                return self._witness(cluster, _first_by_index(hits)[1])
-            kids = cluster.children_mask & child_tab[rank]
-            children = cluster.children
-            while kids:
-                slot = kids.bit_length() - 1
-                kids ^= 1 << slot
-                stack.append(children[slot])
+        hopped = []
+        if settled >= CLUSTER_SPAN:
+            cluster = self.root
+            for _ in range(settled // CLUSTER_SPAN):
+                hopped.append(cluster)
+                cluster = cluster.children.get(CHILD_SLOT_LOW)
+                if cluster is None:
+                    break
+            stack = [] if cluster is None else [cluster]
+        while True:
+            while stack:
+                cluster = stack.pop()
+                if skip:
+                    while not cluster.boxes_mask and cluster.children_mask == _ALL_LAMBDA_CHILD_BIT:
+                        cluster = cluster.children[CHILD_SLOT_LOW]
+                visits += 1
+                shift, width, ranks = fields[cluster.depth]
+                rank = ranks[((qm >> shift) & width) << 4 | ((qv >> shift) & width)]
+                hits = cluster.boxes_mask & box_tab[rank]
+                if hits:
+                    self.cluster_visits += visits
+                    return self._witness(cluster, _first_by_index(hits)[1])
+                kids = cluster.children_mask & child_tab[rank]
+                children = cluster.children
+                while kids:
+                    slot = kids.bit_length() - 1
+                    kids ^= 1 << slot
+                    stack.append(children[slot])
+            if not hopped:
+                break
+            # a hopped cluster: its boxes miss q and its all-λ child is
+            # searched, so only its other children are left
+            cluster = hopped.pop()
+            kids = cluster.children_mask & ~_ALL_LAMBDA_CHILD_BIT
+            if kids:
+                visits += 1
+                shift, width, ranks = fields[cluster.depth]
+                kids &= child_tab[ranks[((qm >> shift) & width) << 4 | ((qv >> shift) & width)]]
+                children = cluster.children
+                while kids:
+                    slot = kids.bit_length() - 1
+                    kids ^= 1 << slot
+                    stack.append(children[slot])
         self.cluster_visits += visits
         return None
 

@@ -11,6 +11,20 @@ cascade's last box covers.  The run ends on one condition: the probe walks
 off the end of the space.  Only the all-λ box carries it there, since any
 other last box ends in F, as the probe does at that position.
 
+Each cache query resumes below the probe's unchanged prefix.  Let c be the
+first position where the next probe differs from this one.  Every box a
+step stores has index at least that of the cascade's last box, which is at
+least c + 1, because the advance's carry stops at or before that box's last
+position; so no step stores a box in a trie cluster lying wholly before c.
+The cache walk searches the all-λ chain (root, slot-40 child, ...) before
+any other child, so it searched and missed every chain cluster above its
+hit's depth; the hit is the cascade's first box, so its index is at least
+c + 1 and it lies at c's cluster or deeper.  A chain cluster's test reads
+only its own four positions, which the next probe keeps.  So none of those
+clusters holds a box containing the next probe either, and the step passes
+c to ``find_containing`` as ``settled``; by induction this also covers the
+clusters an earlier walk hopped.
+
 Resolved boxes enter the cache only when their λ fraction reaches the
 configured insertion ratio; caching everything bloats the trie faster than
 it saves probe work.
@@ -34,12 +48,13 @@ literal combinations in sweep order, mapped back to variable order.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice, product
 from operator import itemgetter
 from typing import Callable, Iterator
 
-from .boxes import Box, BoxError, Trit, resolve, tail_resolvable
+from .boxes import Box, BoxError
 from .clustertrie import BoxDatabase
 from .cnf import CnfProblem, VariableOrder, clause_boxes
 from .ordering import build_order
@@ -100,15 +115,20 @@ def advance(b: Box, p: Box) -> Box | None:
     ``index(b)`` positions lies in ``b``, and one carry at that position
     reaches the first point after them all.
     """
-    if not p.is_point:
+    n, full, pv = p.n, p.mask, p.val
+    if full != (1 << n) - 1:
         raise BoxError("probe point must be a full point")
-    if not b.contains(p):
+    if b.n != n:
+        raise BoxError("containment needs equal lengths")
+    bm = b.mask
+    if (b.val ^ pv) & bm:
         raise BoxError("advance requires the box to contain the probe point")
-    shift = p.n - b.index
-    nxt = ((p.val >> shift) + 1) << shift
-    if nxt >> p.n:
+    # the positions past index(b): all of them for the all-λ box
+    shift = (bm & -bm).bit_length() - 1 if bm else n
+    nxt = ((pv >> shift) + 1) << shift
+    if nxt >> n:
         return None
-    return Box.point(p.n, nxt)
+    return Box(n, full, nxt)
 
 
 class SolverState:
@@ -141,6 +161,9 @@ class SolverState:
         self.timed_out = False
         self.deadline: float | None = None  # set by run_loop
         self.iterations = 0
+        # the cache walk's ``settled``: the probe's leading positions whose
+        # all-λ chain clusters hold no box containing it
+        self._settled = 0
 
     @property
     def done(self) -> bool:
@@ -165,24 +188,33 @@ class SolverState:
 
         Returns the cascade's last box: ``b`` itself, or its last resolvent.
         """
+        n, left = self.n, self.left
         cur = b
         while True:
-            k = cur.index
-            if k == 0:
+            m = cur.mask
+            if not m:
                 # already cached: by ``step``, or as a resolvent, which every
                 # insertion ratio admits when all of it is λ
                 return cur
-            if cur.trit(k - 1) is Trit.FALSE:
-                self.left[k] = cur  # most recent left-branching box wins
+            low = m & -m  # the last non-λ position, index k
+            k = n - low.bit_length() + 1
+            v = cur.val
+            if not v & low:
+                left[k] = cur  # ends in F; the most recent left box wins
                 return cur
-            partner = self.left[k]
+            partner = left[k]
             if partner is None:
                 raise SolverError(f"no pending left box at index {k} for {cur!r}")
-            if not tail_resolvable(cur, partner):
+            pm, pv = partner.mask, partner.val
+            # tail-resolvable: the pair opposes at ``low`` only, and it is
+            # the partner's last non-λ position too
+            if partner.n != cur.n or m & pm & (v ^ pv) != low or pm & -pm != low:
                 raise SolverError(
                     f"cascade pair not tail-resolvable: {cur!r} vs {partner!r}"
                 )
-            cur = resolve(cur, partner)
+            # the pivot becomes λ: it leaves the mask, and its T (from cur)
+            # leaves the values
+            cur = Box(n, (m | pm) ^ low, (v | pv) ^ low)
             if self.gate_passes(cur):
                 self._cache_insert(cur, "resolution")
 
@@ -207,8 +239,7 @@ class SolverState:
                 self.model_count += streamed
                 self.timed_out = True
                 return False
-            for model in islice(expanded, 256):
-                sink(model)
+            deque(map(sink, islice(expanded, 256)), 0)
         self.model_count += size
         return True
 
@@ -218,7 +249,8 @@ class SolverState:
             return False
         p = self.probe
         source = "cache"
-        b = self.cache.find_containing(p)
+        # positional, so a wrapper forwarding ``*args`` passes it on
+        b = self.cache.find_containing(p, self._settled)
         if b is None:
             # the smallest-index hit advances the probe furthest; it is the
             # one worth caching
@@ -246,6 +278,8 @@ class SolverState:
         if nxt is None:
             self.covered = True
         else:
+            # the first position where the next probe differs
+            self._settled = self.n - (p.val ^ nxt.val).bit_length()
             self.probe = nxt
         self.iterations += 1
         if self.trace is not None:
@@ -259,12 +293,12 @@ class SolverState:
         so one already past stops the run with no step taken.
         """
         self.deadline = deadline
+        if deadline is None:
+            while self.step():
+                pass
+            return self.timed_out
         while not self.done:
-            if (
-                deadline is not None
-                and self.iterations % 256 == 0
-                and time.perf_counter() > deadline
-            ):
+            if self.iterations % 256 == 0 and time.perf_counter() > deadline:
                 self.timed_out = True
                 break
             self.step()

@@ -96,6 +96,20 @@ class TestEdgeListSources:
         assert sum(o[0] == "ok" and len(o[1].edges) > 2 for o in outcomes) > 100
         assert sum(o[0] == "error" for o in outcomes) > 30
 
+    @pytest.mark.parametrize("form", [str, str.encode, lambda t: io.BytesIO(t.encode()), io.StringIO],
+                             ids=["str", "bytes", "binary-stream", "text-stream"])
+    def test_lone_cr_ends_no_line(self, form):
+        with pytest.raises(EdgeListError, match="^line 1: expected two vertex ids"):
+            read_edge_list(form("0 1\r1 2\r"))
+
+    def test_lf_and_crlf_read_alike(self):
+        text = "# square\n0 1\n1 2\n\n2 3\n3 0\n"
+        want = read_edge_list(text)
+        assert len(want.edges) == 4
+        crlf = text.replace("\n", "\r\n")
+        for form in (crlf, crlf.encode(), io.BytesIO(crlf.encode()), io.StringIO(crlf)):
+            assert read_edge_list(form) == want
+
     @pytest.mark.parametrize("binary", [False, True], ids=["bytes", "binary-stream"])
     def test_non_utf8_names_its_line(self, binary):
         data = b"0 1\n\xff\xfe 2\n"

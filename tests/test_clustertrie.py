@@ -359,6 +359,53 @@ class TestDifferential:
                 full = db.all_containing(q, include_shadowed=True)
                 assert sorted(map(repr, full)) == sorted(map(repr, lin))
 
+    def test_settled_hop_matches_the_full_walk(self):
+        rng = random.Random(98)
+        hopped = 0
+        for trial in range(240):
+            n = 1 + trial % 40
+            db, stored = self.build(rng, n, lambda_skip=bool(trial % 3))
+            # boxes behind a λ prefix of random length lengthen the all-λ chain
+            for _ in range(rng.randint(0, 12)):
+                keep = (1 << rng.randint(1, n)) - 1
+                b = random_box(rng, n, lambda_weight=rng.choice((1, 2, 4)))
+                b = Box(n, b.mask & keep, b.val & keep)
+                if not any(s.contains(b) for s in stored):
+                    stored.append(b)
+                db.insert(b)
+            for q in self.queries(rng, n, stored):
+                # depth of the first all-λ-chain cluster holding a box that
+                # contains q: a chain box at depth d fixes nothing before 4d
+                first = n
+                for b in linear_containing(stored, q):
+                    d = max(b.index - 1, 0) // 4
+                    if not b.mask >> (n - 4 * d):
+                        first = min(first, d)
+                db.cluster_visits = 0
+                want = db.find_containing(q)
+                full_visits = db.cluster_visits
+                for settled in range(min(n, 4 * first + 3) + 1):
+                    db.cluster_visits = 0
+                    assert db.find_containing(q, settled) == want, (q, settled)
+                    assert db.cluster_visits <= full_visits
+                    hopped += db.cluster_visits < full_visits
+        assert hopped > 1000
+
+    def test_hop_returns_to_the_hopped_clusters_other_children(self):
+        for skip in (True, False):
+            db = BoxDatabase(12, lambda_skip=skip)
+            side, chain = B("F---TTTT----"), B("----F--F----")
+            db.insert(side)
+            db.insert(chain)
+            q = B("FFFFTTTTFFFF")
+            assert db.find_containing(q) == side
+            # settled 4 hops the root, 8 the chain's depth-1 cluster too,
+            # and the chain ends there
+            for settled in (4, 8, 12):
+                db.cluster_visits = 0
+                assert db.find_containing(q, settled) == side
+                assert db.cluster_visits == (1 if settled < 8 else 0) + 2
+
     def test_smallest_ties_go_to_walk_order(self):
         # both boxes have index 5 and contain the probe; the walk reaches
         # the child slot of "-F--" (49) before that of "F---" (67)

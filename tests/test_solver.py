@@ -11,10 +11,12 @@ from boxsat import (
     CnfProblem,
     SolverConfig,
     VariableOrder,
+    build_order,
     clause_to_box,
     parse_dimacs,
     run,
 )
+from boxsat.benchgen import hidden_solution_blocks
 from boxsat.boxes import BoxError, Trit
 from boxsat.solver import SolverState, SweepTrace, advance, build_database
 from boxsat.oracle import brute_count, brute_models
@@ -385,6 +387,69 @@ class TestSweepInvariants:
             pass
         assert silent.model_count == 3
         assert silent.done
+
+
+def checked_sweep(cnf: CnfProblem, config: SolverConfig) -> tuple[SolverState, list[int]]:
+    """A sweep whose every hinted cache walk is checked against the
+    unhinted one; the list collects each walk's ``settled``.  The hint is
+    positional only, as a wrapper forwarding ``*args`` needs it."""
+    order = build_order(cnf, config.ordering)
+    db = build_database(cnf, order, lambda_skip=config.lambda_skip)
+    state = SolverState(cnf.variable_count, db, config)
+    cache, walk = state.cache, state.cache.find_containing
+    hints: list[int] = []
+
+    def checked(q: Box, settled: int = 0, /):
+        before = cache.cluster_visits
+        got = walk(q, settled)
+        hinted = cache.cluster_visits
+        assert got == walk(q), (q, settled)
+        assert hinted - before <= cache.cluster_visits - hinted
+        hints.append(settled)
+        return got
+
+    cache.find_containing = checked
+    state.run_loop()
+    return state, hints
+
+
+def block_count(cnf: CnfProblem, groups: list[list[int]]) -> int:
+    """The product of each variable block's brute-force count."""
+    count = 1
+    for vs in groups:
+        renumber = {v: i + 1 for i, v in enumerate(vs)}
+        count *= brute_count(CnfProblem(len(vs), [
+            Clause((1 if l > 0 else -1) * renumber[abs(l)] for l in c.literals)
+            for c in cnf.clauses if all(abs(l) in renumber for l in c.literals)
+        ]))
+    return count
+
+
+class TestChainHop:
+    def test_random_formulas(self):
+        rng = random.Random(83)
+        deep = 0
+        for _ in range(12):
+            cnf = random_cnf(rng, rng.randint(1, 14), rng.randint(0, 30), width_hi=4)
+            want = brute_count(cnf)
+            for name in ORDERING_STRATEGIES:
+                for ratio in (0.0, 0.45, 1.0):
+                    for skip in (True, False):
+                        config = SolverConfig(insertion_ratio=ratio, ordering=name, lambda_skip=skip)
+                        state, hints = checked_sweep(cnf, config)
+                        assert state.model_count == want, (name, ratio, skip)
+                        deep += sum(h >= 4 for h in hints)
+        assert deep > 1000
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hidden_solution_blocks(self, seed):
+        cnf, groups = hidden_solution_blocks(seed=seed)
+        want = block_count(cnf, groups)
+        for skip in (True, False):
+            state, hints = checked_sweep(cnf, SolverConfig(lambda_skip=skip))
+            assert state.model_count == want
+            # most walks hop most of the 16-level chain
+            assert sum(hints) / len(hints) > 24
 
 
 def padded_cnf(rng: random.Random, k: int, free: int) -> tuple[CnfProblem, CnfProblem]:
