@@ -152,12 +152,11 @@ def resolve(b: Box, c: Box) -> Box:
         raise BoxError("resolution undefined: no opposing position")
     if opposing & (opposing - 1):
         raise BoxError("resolution undefined: multiple opposing positions")
-    mask = (b.mask | c.mask) & ~opposing
-    return Box(b.n, mask, (b.val | c.val) & mask)
+    return _resolvent(b, c, opposing)
 
 
-def tail_resolvable(b: Box, c: Box) -> bool:
-    """True iff the boxes resolve *and* the pivot is the last non-λ of both.
+def tail_resolve(b: Box, c: Box) -> Box | None:
+    """Resolve the boxes if the pivot is the last non-λ of both, else None.
 
     This is the restricted form the sweep solver performs: resolutions only
     ever peel the shared trailing position, so each result strictly shortens
@@ -165,10 +164,22 @@ def tail_resolvable(b: Box, c: Box) -> bool:
     """
     if b.n != c.n:
         raise BoxError("resolvability needs equal lengths")
-    opposing = b.mask & c.mask & (b.val ^ c.val)
-    if opposing == 0 or opposing & (opposing - 1):
-        return False
-    return (b.mask & -b.mask) == opposing and (c.mask & -c.mask) == opposing
+    bm, cm = b.mask, c.mask
+    low = bm & -bm
+    # the pair opposes at ``low`` only, and ``low`` is c's last non-λ too
+    if not low or bm & cm & (b.val ^ c.val) != low or cm & -cm != low:
+        return None
+    return _resolvent(b, c, low)
+
+
+def _resolvent(b: Box, c: Box, pivot: int) -> Box:
+    # both boxes fix ``pivot``, one to T: it leaves the mask and the values
+    return Box(b.n, (b.mask | c.mask) ^ pivot, (b.val | c.val) ^ pivot)
+
+
+def tail_resolvable(b: Box, c: Box) -> bool:
+    """True iff the boxes resolve *and* the pivot is the last non-λ of both."""
+    return tail_resolve(b, c) is not None
 
 
 # -- sub-box ranking -----------------------------------------------------

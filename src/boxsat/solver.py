@@ -54,7 +54,7 @@ from itertools import islice, product
 from operator import itemgetter
 from typing import Callable, Iterator
 
-from .boxes import Box, BoxError
+from .boxes import Box, BoxError, tail_resolve
 from .clustertrie import BoxDatabase
 from .cnf import CnfProblem, VariableOrder, clause_boxes
 from .ordering import build_order
@@ -115,20 +115,15 @@ def advance(b: Box, p: Box) -> Box | None:
     ``index(b)`` positions lies in ``b``, and one carry at that position
     reaches the first point after them all.
     """
-    n, full, pv = p.n, p.mask, p.val
-    if full != (1 << n) - 1:
+    if not p.is_point:
         raise BoxError("probe point must be a full point")
-    if b.n != n:
-        raise BoxError("containment needs equal lengths")
-    bm = b.mask
-    if (b.val ^ pv) & bm:
+    if not b.contains(p):
         raise BoxError("advance requires the box to contain the probe point")
-    # the positions past index(b): all of them for the all-λ box
-    shift = (bm & -bm).bit_length() - 1 if bm else n
-    nxt = ((pv >> shift) + 1) << shift
-    if nxt >> n:
+    shift = p.n - b.index
+    nxt = ((p.val >> shift) + 1) << shift
+    if nxt >> p.n:
         return None
-    return Box(n, full, nxt)
+    return Box.point(p.n, nxt)
 
 
 class SolverState:
@@ -188,33 +183,25 @@ class SolverState:
 
         Returns the cascade's last box: ``b`` itself, or its last resolvent.
         """
-        n, left = self.n, self.left
         cur = b
         while True:
-            m = cur.mask
-            if not m:
+            k = cur.index
+            if k == 0:
                 # already cached: by ``step``, or as a resolvent, which every
                 # insertion ratio admits when all of it is λ
                 return cur
-            low = m & -m  # the last non-λ position, index k
-            k = n - low.bit_length() + 1
-            v = cur.val
-            if not v & low:
-                left[k] = cur  # ends in F; the most recent left box wins
+            if not cur.val >> (self.n - k) & 1:  # ends in F
+                self.left[k] = cur  # most recent left-branching box wins
                 return cur
-            partner = left[k]
+            partner = self.left[k]
             if partner is None:
                 raise SolverError(f"no pending left box at index {k} for {cur!r}")
-            pm, pv = partner.mask, partner.val
-            # tail-resolvable: the pair opposes at ``low`` only, and it is
-            # the partner's last non-λ position too
-            if partner.n != cur.n or m & pm & (v ^ pv) != low or pm & -pm != low:
+            resolvent = tail_resolve(cur, partner)
+            if resolvent is None:
                 raise SolverError(
                     f"cascade pair not tail-resolvable: {cur!r} vs {partner!r}"
                 )
-            # the pivot becomes λ: it leaves the mask, and its T (from cur)
-            # leaves the values
-            cur = Box(n, (m | pm) ^ low, (v | pv) ^ low)
+            cur = resolvent
             if self.gate_passes(cur):
                 self._cache_insert(cur, "resolution")
 
@@ -293,12 +280,12 @@ class SolverState:
         so one already past stops the run with no step taken.
         """
         self.deadline = deadline
-        if deadline is None:
-            while self.step():
-                pass
-            return self.timed_out
         while not self.done:
-            if self.iterations % 256 == 0 and time.perf_counter() > deadline:
+            if (
+                deadline is not None
+                and self.iterations % 256 == 0
+                and time.perf_counter() > deadline
+            ):
                 self.timed_out = True
                 break
             self.step()

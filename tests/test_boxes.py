@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from boxsat.boxes import (
     resolve,
     subbox_rank,
     tail_resolvable,
+    tail_resolve,
 )
 
 B = Box.parse
@@ -151,6 +153,39 @@ class TestTailResolvable:
             assert r.index < b.index
             assert r.index < c.index
 
+
+
+class TestTailResolve:
+    @staticmethod
+    def by_trits(b: Box, c: Box) -> Box | None:
+        """The definition position by position: one opposing position, the
+        last non-λ of both, becomes λ; elsewhere a fixed trit wins."""
+        opposing = [
+            i
+            for i, (s, t) in enumerate(zip(b.trits, c.trits))
+            if Trit.LAMBDA not in (s, t) and s != t
+        ]
+        if opposing != [b.index - 1] or c.index != b.index:
+            return None
+        return Box.from_trits(
+            Trit.LAMBDA if i == opposing[0] else (s if s is not Trit.LAMBDA else t)
+            for i, (s, t) in enumerate(zip(b.trits, c.trits))
+        )
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_every_pair_matches_the_definition(self, n):
+        every = [Box.from_trits(ts) for ts in itertools.product(list(Trit), repeat=n)]
+        for b in every:
+            for c in every:
+                expected = self.by_trits(b, c)
+                assert tail_resolve(b, c) == expected
+                assert tail_resolvable(b, c) == (expected is not None)
+                if expected is not None:
+                    assert expected == resolve(b, c)
+
+    def test_length_mismatch(self):
+        with pytest.raises(BoxError):
+            tail_resolve(B("TF"), B("TFF"))
 
 class TestSubboxRank:
     def test_empty(self):
