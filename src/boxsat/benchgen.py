@@ -193,6 +193,8 @@ def hidden_solution_blocks(
     """
     import random
 
+    if blocks < 1:
+        raise ValueError("blocks must be at least 1")
     rng = random.Random(seed)
     n = 4 * blocks + 1
     groups = [list(range(4 * b + 1, 4 * b + 5)) for b in range(blocks)]

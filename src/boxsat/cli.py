@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import AbstractContextManager, nullcontext
 from decimal import Decimal
 from typing import IO
 
@@ -38,8 +39,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _open_input(path: str) -> IO:
-    return sys.stdin if path == "-" else open(path, "r")
+def _open_input(path: str) -> AbstractContextManager[IO]:
+    """The file at ``path``, or standard input for ``-``, left open on exit."""
+    return nullcontext(sys.stdin) if path == "-" else open(path, "r")
 
 
 def build_parser() -> _Parser:

@@ -28,15 +28,6 @@ slot's 4-bit field, shifted into place.  Besides "some containing box"
 trie answers "the containing box with the smallest index"
 (``smallest_containing``) in one walk that skips every subtree too deep to
 beat the best box found so far.
-
-``find_containing(q, settled)`` takes a promise from the caller: no cluster
-on the all-λ chain (the root, its slot-40 child, that child's slot-40
-child, ...) lying wholly before position ``settled`` holds a box containing
-``q``.  The walk follows the chain down to depth ``settled // 4`` without
-reading those clusters' masks, searches from there, and returns to the
-hopped clusters' other children only on a miss.  The sweep's consecutive
-probes share long prefixes, so it can make that promise for most of the
-chain (see ``solver``); the default 0 promises nothing.
 """
 
 from __future__ import annotations
@@ -166,6 +157,10 @@ class BoxDatabase:
     three queries inline this walk instead of calling shared helpers per
     cluster: it is the sweep's innermost loop, and those calls made the
     ``blocks`` sweep about a third slower.
+
+    The trie keeps its all-λ chain (the root, its slot-40 child, that
+    child's slot-40 child, ...) as a list, extended when such a cluster is
+    made, so a hinted ``find_containing`` starts by indexing it.
     """
 
     def __init__(self, n: int, lambda_skip: bool = True):
@@ -174,6 +169,7 @@ class BoxDatabase:
         self.n = n
         self.lambda_skip = lambda_skip
         self.root = Cluster()
+        self._chain = [self.root]  # the all-λ chain, by depth
         self.box_count = 0
         self.max_index = 0  # largest index of any stored box
         self.cluster_visits = 0  # clusters whose masks were intersected
@@ -244,11 +240,8 @@ class BoxDatabase:
         k = b.index
         if k > self.max_index:
             self.max_index = k
-        if k == 0:
-            self.root.boxes_mask |= 1  # slot 0: the all-λ box
-            self.box_count += 1
-            return
-        terminal = (k - 1) // CLUSTER_SPAN
+        # the all-λ box (k = 0) has an empty field, which ranks to root slot 0
+        terminal = max(0, k - 1) // CLUSTER_SPAN
         mask, val = b.mask, b.val
         cluster = self.root
         for d in range(terminal):
@@ -260,6 +253,8 @@ class BoxDatabase:
                                 cluster.val << CLUSTER_SPAN | _SLOT_VAL[slot])
                 cluster.children[slot] = child
                 cluster.children_mask |= 1 << slot
+                if not child.mask:  # only slot 40 is all λ: cluster ends the chain
+                    self._chain.append(child)
             cluster = child
         # the trimmed field: up to and including the box's last non-λ
         length = k - CLUSTER_SPAN * terminal
@@ -280,27 +275,25 @@ class BoxDatabase:
         ``settled`` is the caller's promise that no cluster on the all-λ
         chain (root, its slot-40 child, that child's slot-40 child, ...)
         lying wholly before position ``settled`` holds a box containing
-        ``q``.  The walk hops those clusters without reading their masks and
-        starts at the chain cluster below them; only if nothing is found
-        there does it go back up, deepest first, for their other children.
-        That is the order the unhinted walk takes, so the result is the
-        same, with fewer clusters visited.
+        ``q``; the default 0 promises nothing.  The walk hops those
+        clusters without reading their masks and starts at the chain
+        cluster below them; only if nothing is found there does it go back
+        up, deepest first, for their other children.  That is the order the
+        unhinted walk takes, so the result is the same, with fewer clusters
+        visited.
         """
         self._check_length(q)
         qm, qv = q.mask, q.val
         fields, skip = self._fields, self.lambda_skip
         box_tab, child_tab = self._tables.box_containers, self._tables.child_containers
+        chain = self._chain
         visits = 0
-        stack = [self.root]
-        hopped = []
-        if settled >= CLUSTER_SPAN:
-            cluster = self.root
-            for _ in range(settled // CLUSTER_SPAN):
-                hopped.append(cluster)
-                cluster = cluster.children.get(CHILD_SLOT_LOW)
-                if cluster is None:
-                    break
-            stack = [] if cluster is None else [cluster]
+        # chain clusters hopped: min(max(settled, 0) // 4, len(chain)), without
+        # the min/max calls, which cost more than the rest of a shallow walk's set-up
+        d = settled // CLUSTER_SPAN if settled > 0 else 0
+        if d > len(chain):
+            d = len(chain)
+        stack = chain[d:d + 1]
         while True:
             while stack:
                 cluster = stack.pop()
@@ -320,11 +313,12 @@ class BoxDatabase:
                     slot = kids.bit_length() - 1
                     kids ^= 1 << slot
                     stack.append(children[slot])
-            if not hopped:
+            if not d:
                 break
             # a hopped cluster: its boxes miss q and its all-λ child is
             # searched, so only its other children are left
-            cluster = hopped.pop()
+            d -= 1
+            cluster = chain[d]
             kids = cluster.children_mask & ~_ALL_LAMBDA_CHILD_BIT
             if kids:
                 visits += 1

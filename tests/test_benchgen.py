@@ -282,6 +282,11 @@ class TestHiddenSolutionBlocks:
         assert cnf.clause_count == 581
         assert sorted(v for g in groups for v in g) == list(range(1, 62))
 
+    @pytest.mark.parametrize("blocks", [0, -1])
+    def test_no_blocks_is_refused(self, blocks):
+        with pytest.raises(ValueError, match="blocks must be at least 1"):
+            hidden_solution_blocks(seed=1, blocks=blocks)
+
     def test_count_is_positive_and_blockwise(self):
         cnf, groups = hidden_solution_blocks(seed=2, blocks=4, total_clauses=80)
         expected = 1

@@ -81,6 +81,21 @@ class TestCount:
         assert main(["count", "-"]) == EXIT_OK
         assert "s MODELS 3" in capsys.readouterr().out
 
+    def test_stdin_stays_open(self, capsys, monkeypatch):
+        # each command reads "-" without closing it, so a later call in the
+        # same process can still use standard input
+        monkeypatch.setattr(sys, "stdin", io.StringIO(EXAMPLE1_TEXT))
+        assert main(["count", "-"]) == EXIT_OK
+        assert not sys.stdin.closed
+        monkeypatch.setattr(sys, "stdin", io.StringIO(EXAMPLE1_TEXT))
+        assert main(["stats", "-"]) == EXIT_OK
+        assert not sys.stdin.closed
+        monkeypatch.setattr(sys, "stdin", io.StringIO(FIG10_EDGES))
+        assert main(["gen", "-", "--query", "path", "--size", "2"]) == EXIT_OK
+        assert not sys.stdin.closed
+        out = capsys.readouterr().out
+        assert "s MODELS 3" in out and "p cnf" in out
+
     def test_timeout(self, tmp_path, capsys):
         big = tmp_path / "big.cnf"
         big.write_text("p cnf 18 1\n" + " ".join(map(str, range(1, 19))) + " 0\n")

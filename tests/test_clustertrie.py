@@ -391,6 +391,56 @@ class TestDifferential:
                     hopped += db.cluster_visits < full_visits
         assert hopped > 1000
 
+    def test_settled_hop_while_the_chain_grows(self):
+        # inserts and hinted walks interleave, so the all-λ chain gains
+        # clusters between queries; settled runs past both ends of its range
+        rng = random.Random(99)
+        hopped = past_chain = 0
+        for trial in range(120):
+            n = 1 + trial % 40
+            db = BoxDatabase(n, lambda_skip=bool(trial % 3))
+            stored = []
+            for _ in range(3):
+                for _ in range(rng.randint(0, 8)):
+                    keep = (1 << rng.randint(1, n)) - 1 if rng.random() < 0.6 else -1
+                    b = random_box(rng, n, lambda_weight=rng.choice((1, 2, 4)))
+                    b = Box(n, b.mask & keep, b.val & keep)
+                    if not any(s.contains(b) for s in stored):
+                        stored.append(b)
+                    db.insert(b)
+                chain = [db.root]
+                while CHILD_SLOT_LOW in chain[-1].children:
+                    chain.append(chain[-1].children[CHILD_SLOT_LOW])
+                assert db._chain == chain
+                for q in self.queries(rng, n, stored):
+                    lin = linear_containing(stored, q)
+                    first = None  # depth of the first chain cluster holding a hit
+                    for b in lin:
+                        d = max(b.index - 1, 0) // 4
+                        if not b.mask >> (n - 4 * d):
+                            first = d if first is None else min(first, d)
+                    db.cluster_visits = 0
+                    want = db.find_containing(q)
+                    full_visits = db.cluster_visits
+                    assert (want is None) == (not lin)
+                    for settled in range(-3, n + 9):
+                        if first is not None and max(settled, 0) // 4 > first:
+                            continue  # the promise does not hold
+                        db.cluster_visits = 0
+                        assert db.find_containing(q, settled) == want, (q, settled)
+                        assert db.cluster_visits <= full_visits
+                        hopped += db.cluster_visits < full_visits
+                        past_chain += max(settled, 0) // 4 >= len(chain)
+        assert hopped > 1000 and past_chain > 1000
+
+    def test_all_lambda_box_sits_in_root_slot_0(self):
+        for n in range(10):
+            db = BoxDatabase(n)
+            db.add_uncovered(Box.all_lambda(n))
+            assert db.dump() == "0:0"
+            assert len(db) == 1
+            assert db.max_index == 0
+
     def test_hop_returns_to_the_hopped_clusters_other_children(self):
         for skip in (True, False):
             db = BoxDatabase(12, lambda_skip=skip)
