@@ -195,6 +195,8 @@ def hidden_solution_blocks(
 
     if blocks < 1:
         raise ValueError("blocks must be at least 1")
+    if total_clauses < 0:
+        raise ValueError("total_clauses must be at least 0")
     rng = random.Random(seed)
     n = 4 * blocks + 1
     groups = [list(range(4 * b + 1, 4 * b + 5)) for b in range(blocks)]

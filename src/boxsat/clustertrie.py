@@ -7,7 +7,9 @@ length-4 prefixes (slots 40..120) under which deeper boxes live.  Stored
 sub-boxes are trimmed at the box's last non-λ position, so a slot's trit
 string never ends in λ; everything after it is implicitly λ.  A box stored
 at depth d therefore has index 4d + 1 .. 4d + 4 (the all-λ box, index 0,
-sits in the root's slot 0).
+sits in the root's slot 0).  Slots rank by sub-box length, so slot order
+inside a cluster is index order: a stored slot's length is its box's
+index less 4d, and the lowest hit slot is the hit with the smallest index.
 
 A containment query intersects each visited cluster's masks with a
 precomputed per-input row listing every slot that could contain the input's
@@ -18,16 +20,19 @@ holding no boxes and only the all-λ child are hopped over without touching
 the masks (the λ-skip).
 
 Every walk loops over an explicit stack of clusters, so formula width is
-bounded by memory, not by Python's recursion limit.  The query's slot rank
-at a depth is read on demand from its (mask, val) bits through a per-depth
-(shift, width) pair and a rank table.  Each cluster knows its depth and the
-(mask, val) bits of the slots on its path, set once when it is created, so
-a walk pushes bare clusters and the witness box is the path plus the hit
-slot's 4-bit field, shifted into place.  Besides "some containing box"
-(``find_containing``) and "every containing box" (``all_containing``), the
-trie answers "the containing box with the smallest index"
-(``smallest_containing``) in one walk that skips every subtree too deep to
-beat the best box found so far.
+bounded by memory, not by Python's recursion limit.  A walk shifts the
+query's (mask, val) bits up by the λ padding that fills the last cluster,
+so every depth's field is one 4-bit read at a fixed shift, ranked through
+one table.  Only the last depth's field gains λs, at its end, and every box
+stored there is no longer than the unpadded field, so it contains the
+padded field exactly when it contains the unpadded one.  Each cluster
+knows its depth and the (mask, val) bits of the slots on its path, set
+once when it is created, so a walk pushes bare clusters and the witness
+box is the path plus the hit slot's 4-bit field, shifted into place.
+Besides "some containing box" (``find_containing``) and "every containing
+box" (``all_containing``), the trie answers "the containing box with the
+smallest index" (``smallest_containing``) in one walk that skips every
+subtree too deep to beat the best box found so far.
 """
 
 from __future__ import annotations
@@ -51,13 +56,10 @@ _ALL_LAMBDA_CHILD_BIT = 1 << CHILD_SLOT_LOW
 
 def _slot_tables():
     """Per slot, its sub-box as a left-aligned 4-bit (mask, val) field and
-    the sub-box's length.  Per index class k, the slots whose sub-box ends
-    at its k-th trit (trailing λs do not count), so a class-k hit at depth d
-    is a box of index 4d + k.  Per field length, the slot of a right-aligned
+    the sub-box's length.  Per field length, the slot of a right-aligned
     field, indexed by ``mask << 4 | val``."""
     lam, true = Trit.LAMBDA, Trit.TRUE
     masks, vals, lengths = [], [], []
-    classes = [0] * (CLUSTER_SPAN + 1)
     ranks = tuple([0] * 256 for _ in range(CLUSTER_SPAN + 1))
     for slot in range(SUBBOX_RANKS):
         trits = rank_to_trits(slot)
@@ -69,22 +71,11 @@ def _slot_tables():
         masks.append(m << (CLUSTER_SPAN - length))
         vals.append(v << (CLUSTER_SPAN - length))
         lengths.append(length)
-        trailing_lambdas = (m & -m).bit_length() - 1 if m else length
-        classes[length - trailing_lambdas] |= 1 << slot
         ranks[length][m << 4 | v] = slot
-    return tuple(masks), tuple(vals), tuple(lengths), tuple(classes), ranks
+    return tuple(masks), tuple(vals), tuple(lengths), ranks
 
 
-_SLOT_MASK, _SLOT_VAL, _SLOT_LENGTH, _INDEX_CLASSES, _FIELD_RANKS = _slot_tables()
-
-
-def _first_by_index(hits: int) -> tuple[int, int]:
-    """(index class, slot) of the hit with the smallest index, then rank."""
-    k = 0
-    while not hits & _INDEX_CLASSES[k]:
-        k += 1
-    h = hits & _INDEX_CLASSES[k]
-    return k, (h & -h).bit_length() - 1
+_SLOT_MASK, _SLOT_VAL, _SLOT_LENGTH, _FIELD_RANKS = _slot_tables()
 
 
 @dataclass(frozen=True)
@@ -174,20 +165,11 @@ class BoxDatabase:
         self.max_index = 0  # largest index of any stored box
         self.cluster_visits = 0  # clusters whose masks were intersected
         self._tables = build_lookup_tables()
-        self._last_depth = last = max(0, (n - 1) // CLUSTER_SPAN)
+        last = max(0, (n - 1) // CLUSTER_SPAN)
         # positions the path space carries past n, all λ
         self._pad = CLUSTER_SPAN * (last + 1) - n
-        # Per depth: the shift, width mask and rank table that read a box's
-        # field there.
-        fields = []
-        for d in range(last + 1):
-            length = min(CLUSTER_SPAN, n - CLUSTER_SPAN * d)
-            fields.append((n - CLUSTER_SPAN * d - length, (1 << length) - 1, _FIELD_RANKS[length]))
-        self._fields = fields
-
-    @property
-    def cluster_count(self) -> int:
-        return self._last_depth + 1
+        # per depth, the shift of its 4-bit field in the padded bits
+        self._shifts = tuple(range(CLUSTER_SPAN * last, -1, -CLUSTER_SPAN))
 
     def __len__(self) -> int:
         return self.box_count
@@ -202,7 +184,7 @@ class BoxDatabase:
         """The box stored in ``slot`` of ``cluster``."""
         # the path plus the slot's field fills 4 × (depth + 1) positions;
         # place them first and drop the λ padding past n
-        up = CLUSTER_SPAN * (self._last_depth - cluster.depth)
+        up = self._shifts[cluster.depth]
         pad = self._pad
         return Box(
             self.n,
@@ -225,7 +207,6 @@ class BoxDatabase:
     # -- operations ------------------------------------------------------
 
     def insert(self, b: Box) -> None:
-        self._check_length(b)
         if self.find_containing(b) is not None:
             return  # already covered; leave the structure untouched
         self.add_uncovered(b)
@@ -242,11 +223,12 @@ class BoxDatabase:
             self.max_index = k
         # the all-λ box (k = 0) has an empty field, which ranks to root slot 0
         terminal = max(0, k - 1) // CLUSTER_SPAN
-        mask, val = b.mask, b.val
+        pad, shifts, ranks = self._pad, self._shifts, _FIELD_RANKS[CLUSTER_SPAN]
+        mask, val = b.mask << pad, b.val << pad
         cluster = self.root
         for d in range(terminal):
-            shift, width, ranks = self._fields[d]
-            slot = ranks[((mask >> shift) & width) << 4 | ((val >> shift) & width)]
+            shift = shifts[d]
+            slot = ranks[((mask >> shift) & 15) << 4 | ((val >> shift) & 15)]
             child = cluster.children.get(slot)
             if child is None:
                 child = Cluster(d + 1, cluster.mask << CLUSTER_SPAN | _SLOT_MASK[slot],
@@ -258,7 +240,7 @@ class BoxDatabase:
             cluster = child
         # the trimmed field: up to and including the box's last non-λ
         length = k - CLUSTER_SPAN * terminal
-        shift = self.n - k
+        shift = self.n + pad - k
         width = (1 << length) - 1
         cluster.boxes_mask |= 1 << _FIELD_RANKS[length][
             ((mask >> shift) & width) << 4 | ((val >> shift) & width)
@@ -268,9 +250,10 @@ class BoxDatabase:
     def find_containing(self, q: Box, settled: int = 0) -> Box | None:
         """Some stored box containing ``q``, or None.
 
-        Greedy per cluster: a box hit with the smallest index wins outright;
-        otherwise matching children are scanned in increasing slot order and
-        the first hit found below is returned.
+        Greedy per cluster: the lowest hit slot, which is the hit with the
+        smallest index, wins outright; otherwise matching children are
+        scanned in increasing slot order and the first hit found below is
+        returned.
 
         ``settled`` is the caller's promise that no cluster on the all-λ
         chain (root, its slot-40 child, that child's slot-40 child, ...)
@@ -283,8 +266,8 @@ class BoxDatabase:
         visited.
         """
         self._check_length(q)
-        qm, qv = q.mask, q.val
-        fields, skip = self._fields, self.lambda_skip
+        pad, shifts, ranks = self._pad, self._shifts, _FIELD_RANKS[CLUSTER_SPAN]
+        qm, qv, skip = q.mask << pad, q.val << pad, self.lambda_skip
         box_tab, child_tab = self._tables.box_containers, self._tables.child_containers
         chain = self._chain
         visits = 0
@@ -301,12 +284,12 @@ class BoxDatabase:
                     while not cluster.boxes_mask and cluster.children_mask == _ALL_LAMBDA_CHILD_BIT:
                         cluster = cluster.children[CHILD_SLOT_LOW]
                 visits += 1
-                shift, width, ranks = fields[cluster.depth]
-                rank = ranks[((qm >> shift) & width) << 4 | ((qv >> shift) & width)]
+                shift = shifts[cluster.depth]
+                rank = ranks[((qm >> shift) & 15) << 4 | ((qv >> shift) & 15)]
                 hits = cluster.boxes_mask & box_tab[rank]
                 if hits:
                     self.cluster_visits += visits
-                    return self._witness(cluster, _first_by_index(hits)[1])
+                    return self._witness(cluster, (hits & -hits).bit_length() - 1)
                 kids = cluster.children_mask & child_tab[rank]
                 children = cluster.children
                 while kids:
@@ -322,8 +305,8 @@ class BoxDatabase:
             kids = cluster.children_mask & ~_ALL_LAMBDA_CHILD_BIT
             if kids:
                 visits += 1
-                shift, width, ranks = fields[cluster.depth]
-                kids &= child_tab[ranks[((qm >> shift) & width) << 4 | ((qv >> shift) & width)]]
+                shift = shifts[cluster.depth]
+                kids &= child_tab[ranks[((qm >> shift) & 15) << 4 | ((qv >> shift) & 15)]]
                 children = cluster.children
                 while kids:
                     slot = kids.bit_length() - 1
@@ -341,11 +324,11 @@ class BoxDatabase:
         most 4d + 1 has been found.
         """
         self._check_length(q)
-        qm, qv = q.mask, q.val
-        fields, skip = self._fields, self.lambda_skip
+        pad, shifts, ranks = self._pad, self._shifts, _FIELD_RANKS[CLUSTER_SPAN]
+        qm, qv, skip = q.mask << pad, q.val << pad, self.lambda_skip
         box_tab, child_tab = self._tables.box_containers, self._tables.child_containers
         best = None
-        best_index = CLUSTER_SPAN * len(fields) + 1  # beyond any stored box
+        best_index = CLUSTER_SPAN * len(shifts) + 1  # beyond any stored box
         visits = 0
         stack = [self.root]
         while stack:
@@ -357,13 +340,14 @@ class BoxDatabase:
             if CLUSTER_SPAN * depth + 1 >= best_index:
                 continue
             visits += 1
-            shift, width, ranks = fields[depth]
-            rank = ranks[((qm >> shift) & width) << 4 | ((qv >> shift) & width)]
+            shift = shifts[depth]
+            rank = ranks[((qm >> shift) & 15) << 4 | ((qv >> shift) & 15)]
             hits = cluster.boxes_mask & box_tab[rank]
             if hits:
-                k, slot = _first_by_index(hits)
-                if CLUSTER_SPAN * depth + k < best_index:
-                    best_index = CLUSTER_SPAN * depth + k
+                slot = (hits & -hits).bit_length() - 1
+                index = CLUSTER_SPAN * depth + _SLOT_LENGTH[slot]
+                if index < best_index:
+                    best_index = index
                     best = (cluster, slot)
                 continue
             kids = cluster.children_mask & child_tab[rank]
@@ -384,8 +368,8 @@ class BoxDatabase:
         containing set.
         """
         self._check_length(q)
-        qm, qv = q.mask, q.val
-        fields, skip = self._fields, self.lambda_skip
+        pad, shifts, ranks = self._pad, self._shifts, _FIELD_RANKS[CLUSTER_SPAN]
+        qm, qv, skip = q.mask << pad, q.val << pad, self.lambda_skip
         box_tab, child_tab = self._tables.box_containers, self._tables.child_containers
         out: list[Box] = []
         stack = [self.root]
@@ -395,8 +379,8 @@ class BoxDatabase:
                 while not cluster.boxes_mask and cluster.children_mask == _ALL_LAMBDA_CHILD_BIT:
                     cluster = cluster.children[CHILD_SLOT_LOW]
             self.cluster_visits += 1
-            shift, width, ranks = fields[cluster.depth]
-            rank = ranks[((qm >> shift) & width) << 4 | ((qv >> shift) & width)]
+            shift = shifts[cluster.depth]
+            rank = ranks[((qm >> shift) & 15) << 4 | ((qv >> shift) & 15)]
             hits = h = cluster.boxes_mask & box_tab[rank]
             while h:
                 low = h & -h

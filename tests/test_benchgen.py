@@ -287,6 +287,11 @@ class TestHiddenSolutionBlocks:
         with pytest.raises(ValueError, match="blocks must be at least 1"):
             hidden_solution_blocks(seed=1, blocks=blocks)
 
+    @pytest.mark.parametrize("total", [-1, -16])
+    def test_negative_clause_total_is_refused(self, total):
+        with pytest.raises(ValueError, match="total_clauses must be at least 0"):
+            hidden_solution_blocks(seed=1, total_clauses=total)
+
     def test_count_is_positive_and_blockwise(self):
         cnf, groups = hidden_solution_blocks(seed=2, blocks=4, total_clauses=80)
         expected = 1

@@ -4,7 +4,7 @@ import pytest
 
 from boxsat import Box, BoxDatabase, build_lookup_tables
 from boxsat.boxes import SUBBOX_RANKS, BoxError, Trit, rank_to_trits
-from boxsat.clustertrie import CHILD_SLOT_LOW
+from boxsat.clustertrie import _FIELD_RANKS, _SLOT_LENGTH, CHILD_SLOT_LOW
 from boxsat.oracle import linear_containing
 
 from conftest import random_box
@@ -276,12 +276,6 @@ class TestStructureInvariants:
                 if i != j:
                     assert not a.contains(b) or not b.contains(a)
 
-    def test_cluster_count(self):
-        assert BoxDatabase(3).cluster_count == 1
-        assert BoxDatabase(4).cluster_count == 1
-        assert BoxDatabase(5).cluster_count == 2
-        assert BoxDatabase(17).cluster_count == 5
-
 
 class TestOracleEquivalence:
     def test_randomized_small(self):
@@ -305,6 +299,83 @@ class TestOracleEquivalence:
                 full = db.all_containing(q, include_shadowed=True)
                 assert sorted(map(repr, full)) == sorted(map(repr, lin))
                 assert set(map(repr, db.all_containing(q))) <= set(map(repr, lin))
+
+
+def index_classes() -> list[int]:
+    """Per index class k, the slots whose sub-box ends at its k-th trit
+    (trailing λs do not count)."""
+    classes = [0] * 5
+    for slot in range(SUBBOX_RANKS):
+        trits = rank_to_trits(slot)
+        while trits and trits[-1] is Trit.LAMBDA:
+            trits = trits[:-1]
+        classes[len(trits)] |= 1 << slot
+    return classes
+
+
+INDEX_CLASSES = index_classes()
+
+
+def first_by_index(hits: int) -> int:
+    """The hit slot with the smallest index class, then rank."""
+    for members in INDEX_CLASSES:
+        h = hits & members
+        if h:
+            return (h & -h).bit_length() - 1
+    raise AssertionError("no hit")
+
+
+class TestSlotOrder:
+    """A cluster's lowest hit slot is its smallest-index hit, and a walk may
+    read the last depth's field padded with λ to 4 bits."""
+
+    def tries(self):
+        rng = random.Random(0x5107)
+        for n in range(22):
+            for skip in (True, False):
+                db = BoxDatabase(n, lambda_skip=skip)
+                for _ in range(rng.randint(5, 60)):
+                    b = random_box(rng, n, lambda_weight=rng.randint(0, 6))
+                    if rng.random() < 0.5:
+                        db.insert(b)
+                    elif db.find_containing(b) is None:
+                        db.add_uncovered(b)
+                yield db
+
+    def test_slot_length_never_falls(self):
+        assert all(a <= b for a, b in zip(_SLOT_LENGTH, _SLOT_LENGTH[1:]))
+
+    def test_stored_slots_end_in_a_fixed_trit(self):
+        for db in self.tries():
+            for c in db._clusters():
+                m = c.boxes_mask
+                while m:
+                    slot = (m & -m).bit_length() - 1
+                    m &= m - 1
+                    assert slot == 0 or rank_to_trits(slot)[-1] is not Trit.LAMBDA
+
+    def test_lowest_hit_is_the_smallest_index(self):
+        rows = build_lookup_tables().box_containers
+        for db in self.tries():
+            for c in db._clusters():
+                for row in rows:
+                    hits = c.boxes_mask & row
+                    if hits:
+                        assert (hits & -hits).bit_length() - 1 == first_by_index(hits)
+
+    def test_padded_last_field_has_the_same_box_containers(self):
+        rows = build_lookup_tables().box_containers
+        for n in range(14):
+            length = n - 4 * max(0, (n - 1) // 4)
+            pad = 4 - length
+            short = sum(1 << j for j in range(SUBBOX_RANKS) if _SLOT_LENGTH[j] <= length)
+            for mask in range(1 << length):
+                for val in range(1 << length):
+                    if val & ~mask:
+                        continue
+                    padded = _FIELD_RANKS[4][(mask << pad) << 4 | val << pad]
+                    exact = _FIELD_RANKS[length][mask << 4 | val]
+                    assert rows[padded] & short == rows[exact] & short
 
 
 def specialise(rng: random.Random, box: Box, point: bool) -> Box:
