@@ -11,6 +11,11 @@ non-λ positions, ``val`` the polarity of the fixed ones.  Position 0 (the
 first variable in the active ordering) sits at the *most significant* bit so
 that the integer value of a full point equals its rank in the depth-first
 sweep order (F = left = 0, T = right = 1).
+
+The int functions ``last_fixed`` (a box's index), ``contains``,
+``tail_resolvent`` and ``carry`` (the advance past a box) are the one copy of
+that arithmetic.  ``Box`` is the boundary type: its methods, ``tail_resolve``
+and the solver's hot loop call them on a box's ints.
 """
 
 from __future__ import annotations
@@ -43,8 +48,8 @@ class Box:
     def __init__(self, n: int, mask: int, val: int):
         if n < 0:
             raise BoxError("negative box length")
-        full = (1 << n) - 1
-        if mask & ~full or val & ~mask:
+        # a negative mask keeps its sign bits past n, a negative val past mask
+        if mask >> n or val & ~mask:
             raise BoxError("mask/val bits out of range")
         self.n = n
         self.mask = mask
@@ -78,8 +83,7 @@ class Box:
     @classmethod
     def point(cls, n: int, bits: int) -> "Box":
         """Full point whose sweep rank is ``bits`` (position 0 = high bit)."""
-        full = (1 << n) - 1
-        return cls(n, full, bits & full)
+        return cls(n, (1 << n) - 1, bits)
 
     # -- coordinate access ----------------------------------------------
 
@@ -99,9 +103,7 @@ class Box:
     @property
     def index(self) -> int:
         """1-based position of the last non-λ trit; 0 for the all-λ box."""
-        if not self.mask:
-            return 0
-        return self.n - ((self.mask & -self.mask).bit_length() - 1)
+        return last_fixed(self.n, self.mask)
 
     @property
     def fixed_count(self) -> int:
@@ -121,7 +123,7 @@ class Box:
         """True iff every position of self equals other's or is λ."""
         if self.n != other.n:
             raise BoxError("containment needs equal lengths")
-        return (self.mask & ~other.mask) == 0 and ((self.val ^ other.val) & self.mask) == 0
+        return contains(self.mask, self.val, other.mask, other.val)
 
     def __eq__(self, other) -> bool:
         return (
@@ -138,6 +140,43 @@ class Box:
         return f"Box({''.join(_TRIT_CHARS[t] for t in self.trits)!r})"
 
 
+# -- the int layer: (mask, val) pairs, whose lengths the caller has checked
+
+
+def last_fixed(n: int, mask: int) -> int:
+    """1-based position of the last non-λ of a length-``n`` box; 0 if none."""
+    return n + 1 - (mask & -mask).bit_length() if mask else 0
+
+
+def contains(m: int, v: int, qm: int, qv: int) -> bool:
+    """True iff every position box (m, v) fixes, (qm, qv) fixes the same."""
+    return not (m & ~qm or (v ^ qv) & m)
+
+
+def tail_resolvent(m: int, v: int, pm: int, pv: int) -> tuple[int, int] | None:
+    """(mask, val) of the resolvent of boxes (m, v) and (pm, pv) if they
+    oppose at one position only and it is the last non-λ of both, else None.
+
+    The pivot becomes λ: it leaves the mask, and its one T the values.
+    """
+    low = m & -m
+    if not low or m & pm & (v ^ pv) != low or pm & -pm != low:
+        return None
+    return (m | pm) ^ low, (v | pv) ^ low
+
+
+def carry(n: int, mask: int, point: int) -> int:
+    """Rank of the first point after ``point`` that the length-``n`` box
+    with ``mask``, which contains ``point``, leaves out; ``1 << n`` if none.
+
+    Every point sharing ``point``'s first ``last_fixed`` positions lies in
+    the box, so one carry at that position reaches the first after them all.
+    """
+    # n - last_fixed(n, mask), inlined: this runs once per sweep step
+    shift = (mask & -mask).bit_length() - 1 if mask else n
+    return ((point >> shift) + 1) << shift
+
+
 def resolve(b: Box, c: Box) -> Box:
     """Resolve two boxes on their unique opposing position.
 
@@ -152,7 +191,7 @@ def resolve(b: Box, c: Box) -> Box:
         raise BoxError("resolution undefined: no opposing position")
     if opposing & (opposing - 1):
         raise BoxError("resolution undefined: multiple opposing positions")
-    return _resolvent(b, c, opposing)
+    return Box(b.n, (b.mask | c.mask) ^ opposing, (b.val | c.val) ^ opposing)
 
 
 def tail_resolve(b: Box, c: Box) -> Box | None:
@@ -164,17 +203,8 @@ def tail_resolve(b: Box, c: Box) -> Box | None:
     """
     if b.n != c.n:
         raise BoxError("resolvability needs equal lengths")
-    bm, cm = b.mask, c.mask
-    low = bm & -bm
-    # the pair opposes at ``low`` only, and ``low`` is c's last non-λ too
-    if not low or bm & cm & (b.val ^ c.val) != low or cm & -cm != low:
-        return None
-    return _resolvent(b, c, low)
-
-
-def _resolvent(b: Box, c: Box, pivot: int) -> Box:
-    # both boxes fix ``pivot``, one to T: it leaves the mask and the values
-    return Box(b.n, (b.mask | c.mask) ^ pivot, (b.val | c.val) ^ pivot)
+    r = tail_resolvent(b.mask, b.val, c.mask, c.val)
+    return None if r is None else Box(b.n, *r)
 
 
 def tail_resolvable(b: Box, c: Box) -> bool:

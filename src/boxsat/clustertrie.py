@@ -265,7 +265,8 @@ class BoxDatabase:
         unhinted walk takes, so the result is the same, with fewer clusters
         visited.
         """
-        self._check_length(q)
+        if q.n != self.n:  # ``_check_length``, inline on the sweep's hottest call
+            raise BoxError(f"box length {q.n} != database length {self.n}")
         pad, shifts, ranks = self._pad, self._shifts, _FIELD_RANKS[CLUSTER_SPAN]
         qm, qv, skip = q.mask << pad, q.val << pad, self.lambda_skip
         box_tab, child_tab = self._tables.box_containers, self._tables.child_containers

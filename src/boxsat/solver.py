@@ -25,6 +25,13 @@ clusters holds a box containing the next probe either, and the step passes
 c to ``find_containing`` as ``settled``; by induction this also covers the
 clusters an earlier walk hopped.
 
+The step's box arithmetic runs on ints through the ``boxes`` functions,
+but the calls a traced run wraps by name, and whose counts it divides by,
+take and give ``Box``es: the cache's ``find_containing`` (``settled`` passed
+positionally) and ``insert``, the database's ``smallest_containing``,
+``gate_passes`` once per resolvent, ``resolve_cascade`` and the module-level
+``advance``.  ``left``, ``probe`` and ``SweepTrace`` hold ``Box``es too.
+
 Resolved boxes enter the cache only when their λ fraction reaches the
 configured insertion ratio; caching everything bloats the trie faster than
 it saves probe work.
@@ -54,7 +61,7 @@ from itertools import islice, product
 from operator import itemgetter
 from typing import Callable, Iterator
 
-from .boxes import Box, BoxError, tail_resolve
+from .boxes import Box, BoxError, carry, contains, last_fixed, tail_resolvent
 from .clustertrie import BoxDatabase
 from .cnf import CnfProblem, VariableOrder, clause_boxes
 from .ordering import build_order
@@ -109,21 +116,21 @@ class SweepTrace:
 
 def advance(b: Box, p: Box) -> Box | None:
     """Next probe point past ``b``: the smallest full point after ``p`` in
-    sweep order that ``b`` does not contain, or None when none is left.
-
-    It depends only on ``index(b)``: every point sharing ``p``'s first
-    ``index(b)`` positions lies in ``b``, and one carry at that position
-    reaches the first point after them all.
+    sweep order that ``b`` does not contain, or None when none is left;
+    it depends only on ``index(b)`` (see ``boxes.carry``).
     """
-    if not p.is_point:
+    n, pv = p.n, p.val
+    full = (1 << n) - 1
+    if p.mask != full:
         raise BoxError("probe point must be a full point")
-    if not b.contains(p):
+    if b.n != n:
+        raise BoxError("containment needs equal lengths")
+    if not contains(b.mask, b.val, full, pv):
         raise BoxError("advance requires the box to contain the probe point")
-    shift = p.n - b.index
-    nxt = ((p.val >> shift) + 1) << shift
-    if nxt >> p.n:
+    nxt = carry(n, b.mask, pv)
+    if nxt >> n:
         return None
-    return Box.point(p.n, nxt)
+    return Box(n, full, nxt)
 
 
 class SolverState:
@@ -183,25 +190,27 @@ class SolverState:
 
         Returns the cascade's last box: ``b`` itself, or its last resolvent.
         """
+        n, left = self.n, self.left
         cur = b
         while True:
-            k = cur.index
+            m, v = cur.mask, cur.val
+            k = last_fixed(n, m)
             if k == 0:
                 # already cached: by ``step``, or as a resolvent, which every
                 # insertion ratio admits when all of it is λ
                 return cur
-            if not cur.val >> (self.n - k) & 1:  # ends in F
-                self.left[k] = cur  # most recent left-branching box wins
+            if not v >> (n - k) & 1:  # ends in F
+                left[k] = cur  # most recent left-branching box wins
                 return cur
-            partner = self.left[k]
+            partner = left[k]
             if partner is None:
                 raise SolverError(f"no pending left box at index {k} for {cur!r}")
-            resolvent = tail_resolve(cur, partner)
+            resolvent = tail_resolvent(m, v, partner.mask, partner.val)
             if resolvent is None:
                 raise SolverError(
                     f"cascade pair not tail-resolvable: {cur!r} vs {partner!r}"
                 )
-            cur = resolvent
+            cur = Box(n, *resolvent)
             if self.gate_passes(cur):
                 self._cache_insert(cur, "resolution")
 

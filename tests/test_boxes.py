@@ -10,12 +10,18 @@ from boxsat.boxes import (
     Box,
     BoxError,
     Trit,
+    carry,
+    contains,
+    last_fixed,
     rank_to_trits,
     resolve,
     subbox_rank,
     tail_resolvable,
     tail_resolve,
+    tail_resolvent,
 )
+
+from conftest import random_box
 
 B = Box.parse
 
@@ -267,3 +273,114 @@ class TestBoxBasics:
     def test_lambda_count(self):
         assert B("T-F--").lambda_count == 3
         assert B("T-F--").fixed_count == 2
+
+
+class TestBoxChecks:
+    """The constructor's range checks, which ``Box.point`` relies on."""
+
+    @pytest.mark.parametrize(
+        "n, mask, val",
+        [
+            (-1, 0, 0),  # negative length
+            (3, 0b1000, 0),  # a mask bit at n
+            (3, 1 << 70, 0),  # a mask bit past n
+            (64, 1 << 64, 0),
+            (0, 1, 0),
+            (3, -1, 0),  # negative mask
+            (3, -8, 0),  # negative mask with no bit below n
+            (3, 0b101, 0b010),  # a val bit outside the mask
+            (3, 0b111, -1),  # negative val
+        ],
+    )
+    def test_refused(self, n, mask, val):
+        with pytest.raises(BoxError):
+            Box(n, mask, val)
+
+    @pytest.mark.parametrize("n", [0, 1, 61, 64, 200])
+    def test_accepted_lengths(self, n):
+        full = (1 << n) - 1
+        for mask, val in ((0, 0), (full, 0), (full, full), (full, full // 3), (full // 5, 0)):
+            b = Box(n, mask, val)
+            assert (b.n, b.mask, b.val) == (n, mask, val)
+
+    def test_point_refuses_bits_out_of_range(self):
+        assert Box.point(3, 7) == B("TTT")
+        for bits in (8, 9, 1 << 40, -1, -8):
+            with pytest.raises(BoxError):
+                Box.point(3, bits)
+
+
+def index_by_trits(b: Box) -> int:
+    return max((i for i, t in enumerate(b.trits, 1) if t is not Trit.LAMBDA), default=0)
+
+
+def carry_by_trits(b: Box, p: Box) -> int:
+    """Add one to ``p``'s first index(b) trits read as a binary numeral
+    (F = 0, T = 1), then set every later trit to F; ``1 << n`` on overflow."""
+    trits = list(p.trits)
+    k = index_by_trits(b)
+    i = k - 1
+    while i >= 0 and trits[i] is Trit.TRUE:
+        trits[i] = Trit.FALSE
+        i -= 1
+    if i < 0:
+        return 1 << p.n
+    trits[i] = Trit.TRUE
+    trits[k:] = [Trit.FALSE] * (p.n - k)
+    return Box.from_trits(trits).val
+
+
+def pair(b: Box | None) -> tuple[int, int] | None:
+    return None if b is None else (b.mask, b.val)
+
+
+class TestIntLayer:
+    """The int functions against the trit-by-trit definitions."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_every_box_and_pair(self, n):
+        every = [Box.from_trits(ts) for ts in itertools.product(list(Trit), repeat=n)]
+        for b in every:
+            assert last_fixed(n, b.mask) == index_by_trits(b)
+            for c in every:
+                assert contains(b.mask, b.val, c.mask, c.val) == all(
+                    s is Trit.LAMBDA or s is t for s, t in zip(b.trits, c.trits)
+                )
+                assert tail_resolvent(b.mask, b.val, c.mask, c.val) == pair(
+                    TestTailResolve.by_trits(b, c)
+                )
+            inside = points_in(b)
+            for bits in inside:
+                # the first point after ``bits`` that b leaves out
+                beyond = next((x for x in range(bits + 1, 1 << n) if x not in inside), 1 << n)
+                assert carry(n, b.mask, bits) == beyond
+                assert carry_by_trits(b, Box.point(n, bits)) == beyond
+
+    def test_random_boxes_up_to_130_positions(self):
+        rng = random.Random(18)
+        options = [Trit.LAMBDA, Trit.FALSE, Trit.TRUE]
+        resolvable = 0
+        for _ in range(400):
+            n = rng.randint(0, 130)
+            b = random_box(rng, n, rng.randint(0, 6))
+            assert last_fixed(n, b.mask) == index_by_trits(b)
+            # a point of b, and a partner that mostly agrees with b
+            p = Box.from_trits(
+                t if t is not Trit.LAMBDA else rng.choice(options[1:]) for t in b.trits
+            )
+            assert contains(b.mask, b.val, p.mask, p.val)
+            assert carry(n, b.mask, p.val) == carry_by_trits(b, p)
+            flip = {Trit.FALSE: Trit.TRUE, Trit.TRUE: Trit.FALSE, Trit.LAMBDA: Trit.LAMBDA}
+            k = index_by_trits(b)
+            c = Box.from_trits(
+                flip[t] if i == k - 1 else t if rng.random() < 0.97 else rng.choice(options)
+                for i, t in enumerate(b.trits)
+            )
+            for x, y in ((b, c), (c, b), (b, p), (p, b)):
+                assert contains(x.mask, x.val, y.mask, y.val) == all(
+                    s is Trit.LAMBDA or s is t for s, t in zip(x.trits, y.trits)
+                )
+                expected = TestTailResolve.by_trits(x, y)
+                resolvable += expected is not None
+                assert tail_resolvent(x.mask, x.val, y.mask, y.val) == pair(expected)
+        assert resolvable > 200  # the pairs reach the resolvent branch

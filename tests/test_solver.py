@@ -18,7 +18,7 @@ from boxsat import (
 )
 from boxsat.benchgen import hidden_solution_blocks
 from boxsat.boxes import BoxError, Trit
-from boxsat.solver import SolverState, SweepTrace, advance, build_database
+from boxsat.solver import SolverError, SolverState, SweepTrace, advance, build_database
 from boxsat.oracle import brute_count, brute_models
 
 from conftest import random_cnf
@@ -57,6 +57,12 @@ class TestAdvance:
     def test_requires_full_point(self):
         with pytest.raises(BoxError):
             advance(B("F--"), B("F-F"))
+
+    def test_requires_equal_lengths(self):
+        with pytest.raises(BoxError):
+            advance(B("F--"), B("FFFF"))
+        with pytest.raises(BoxError):
+            advance(B("F---"), B("FFF"))
 
     def test_matches_stepwise_oracle(self):
         # successor-by-successor reference: smallest point after p outside b
@@ -154,6 +160,24 @@ class TestWalkthrough:
             pass
         inserted = [box for box, _ in trace.cache_inserts]
         assert inserted.count(B("---")) == 1
+
+
+class TestCascadeChecks:
+    """A hand-driven cascade refuses a T-ending box it cannot pair."""
+
+    def test_no_partner_waiting(self):
+        state = walkthrough_state()
+        with pytest.raises(SolverError, match="no pending left box at index 2"):
+            state.resolve_cascade(B("TT-"))
+
+    @pytest.mark.parametrize("partner", ["FF-", "TFT", "F--"])
+    def test_partner_not_tail_resolvable(self, partner):
+        # two opposing positions; the pivot not the partner's last non-λ;
+        # the partner not fixing the pivot at all
+        state = walkthrough_state()
+        state.left[2] = B(partner)
+        with pytest.raises(SolverError, match="not tail-resolvable"):
+            state.resolve_cascade(B("TT-"))
 
 
 class TestRun:
