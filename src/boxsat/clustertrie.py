@@ -19,20 +19,23 @@ the walks read, plus each slot's sub-box length.  Chains of clusters
 holding no boxes and only the all-λ child are hopped over without touching
 the masks (the λ-skip).
 
-Every walk loops over an explicit stack of clusters, so formula width is
-bounded by memory, not by Python's recursion limit.  A walk shifts the
-query's (mask, val) bits up by the λ padding that fills the last cluster,
-so every depth's field is one 4-bit read at a fixed shift, ranked through
-one table.  Only the last depth's field gains λs, at its end, and every box
+Every walk loops over an explicit stack or per-depth lists of clusters, so
+formula width is bounded by memory, not by Python's recursion limit.  A
+walk shifts the query's (mask, val) bits up by the λ padding that fills the
+last cluster, so every depth's field is one 4-bit read at a fixed shift,
+ranked through one table.  Only the last depth's field gains λs, at its end, and every box
 stored there is no longer than the unpadded field, so it contains the
 padded field exactly when it contains the unpadded one.  Each cluster
 knows its depth and the (mask, val) bits of the slots on its path, set
 once when it is created, so a walk pushes bare clusters and the witness
 box is the path plus the hit slot's 4-bit field, shifted into place.
 Besides "some containing box" (``find_containing``) and "every containing
-box" (``all_containing``), the trie answers "the containing box with the
-smallest index" (``smallest_containing``) in one walk that skips every
-subtree too deep to beat the best box found so far.
+box" (``all_containing``), both depth-first, the trie answers "the
+containing box with the smallest index" (``smallest_containing``) by a walk
+that reads one depth at a time and stops at the first depth with a hit.  It
+keeps its last walk's per-depth cluster lists and resumes at the first depth
+where the next query differs, so a query sharing a long prefix with the
+last one reads only the depths below that prefix.
 """
 
 from __future__ import annotations
@@ -139,15 +142,17 @@ class BoxDatabase:
     skipping that check's walk.  ``max_index`` is the largest index of any
     stored box: no stored box fixes a position after it.
 
-    Every walk pops clusters off an explicit stack; each cluster carries its
-    own depth and path bits, so nothing is computed per push.  Children are
-    pushed highest slot first, so clusters pop depth-first in increasing
-    slot order.  A query first hops the popped cluster's λ-skip chain
-    (clusters on the last depth have no children, so a hop never runs past
-    it), then reads the query's rank at that depth and intersects.  The
-    three queries inline this walk instead of calling shared helpers per
-    cluster: it is the sweep's innermost loop, and those calls made the
-    ``blocks`` sweep about a third slower.
+    Each cluster carries its own depth and path bits, so nothing is
+    computed per push.  ``find_containing`` and ``all_containing`` pop
+    clusters off an explicit stack; children are pushed highest slot first,
+    so clusters pop depth-first in increasing slot order.  Such a query
+    first hops the popped cluster's λ-skip chain (clusters on the last
+    depth have no children, so a hop never runs past it), then reads the
+    query's rank at that depth and intersects.  ``smallest_containing``
+    walks the same order one depth at a time, reading the query's rank once
+    per depth.  The queries inline their walks instead of calling shared
+    helpers per cluster: this is the sweep's innermost loop, and those calls
+    made the ``blocks`` sweep about a third slower.
 
     The trie keeps its all-λ chain (the root, its slot-40 child, that
     child's slot-40 child, ...) as a list, extended when such a cluster is
@@ -164,6 +169,12 @@ class BoxDatabase:
         self.box_count = 0
         self.max_index = 0  # largest index of any stored box
         self.cluster_visits = 0  # clusters whose masks were intersected
+        # ``smallest_containing``'s last walk: its padded query, each depth's
+        # cluster list down to where it stopped, and its answer; None until
+        # the first walk and after every change to the trie
+        self._levels: list[list[Cluster]] | None = None
+        self._last_mask = self._last_val = 0
+        self._last_hit: Box | None = None
         self._tables = build_lookup_tables()
         last = max(0, (n - 1) // CLUSTER_SPAN)
         # positions the path space carries past n, all λ
@@ -218,6 +229,7 @@ class BoxDatabase:
         the trie would hold a redundant box.
         """
         self._check_length(b)
+        self._levels = None  # the trie changes: drop the level walk's memo
         k = b.index
         if k > self.max_index:
             self.max_index = k
@@ -320,45 +332,74 @@ class BoxDatabase:
         """The stored box with the smallest index containing ``q``, or None.
 
         Equals ``min(self.all_containing(q), key=lambda b: b.index)``, ties
-        going to the box met first in that walk.  A subtree at depth d holds
-        only indexes from 4d + 1 up, so it is skipped once a box of index at
-        most 4d + 1 has been found.
+        going to the box met first in that walk.  The walk reads one depth
+        at a time: each depth's list holds its clusters in that walk's
+        order, children appended in increasing slot order and a λ-skip
+        pass-through cluster handing its all-λ child to the next depth in
+        its own place.  A box at depth d has index 4d + 1 .. 4d + 4, so the
+        walk stops at the first depth with a hit and takes the lowest slot
+        length there, the first cluster among equals.
+
+        The walk keeps its last query, each depth's list, and the box it
+        returned.  A depth's list depends only on the query's positions at
+        earlier depths, and the walk read a depth's field only if every
+        earlier depth missed.  So if the next query first changes at depth
+        c, every list down to c is still its list and every depth above c
+        still misses: past the stop depth the last box is again the answer,
+        and otherwise the walk resumes at c.  ``add_uncovered``, the one
+        path that changes the trie, drops the memo, so this holds for any
+        sequence of queries.
         """
         self._check_length(q)
-        pad, shifts, ranks = self._pad, self._shifts, _FIELD_RANKS[CLUSTER_SPAN]
-        qm, qv, skip = q.mask << pad, q.val << pad, self.lambda_skip
+        pad = self._pad
+        qm, qv = q.mask << pad, q.val << pad
+        changed = (qm ^ self._last_mask) | (qv ^ self._last_val)
+        self._last_mask, self._last_val = qm, qv
+        levels = self._levels
+        if levels is None:
+            levels = self._levels = [[self.root]]
+            d = 0
+        else:
+            # the depth of the first changed position; past every depth when none is
+            d = (self.n + pad - changed.bit_length()) // CLUSTER_SPAN
+            if d >= len(levels):
+                return self._last_hit
+            del levels[d + 1:]
+        shifts, ranks, skip = self._shifts, _FIELD_RANKS[CLUSTER_SPAN], self.lambda_skip
         box_tab, child_tab = self._tables.box_containers, self._tables.child_containers
-        best = None
-        best_index = CLUSTER_SPAN * len(shifts) + 1  # beyond any stored box
         visits = 0
-        stack = [self.root]
-        while stack:
-            cluster = stack.pop()
-            if skip:
-                while not cluster.boxes_mask and cluster.children_mask == _ALL_LAMBDA_CHILD_BIT:
-                    cluster = cluster.children[CHILD_SLOT_LOW]
-            depth = cluster.depth
-            if CLUSTER_SPAN * depth + 1 >= best_index:
-                continue
-            visits += 1
-            shift = shifts[depth]
+        while True:
+            shift = shifts[d]
             rank = ranks[((qm >> shift) & 15) << 4 | ((qv >> shift) & 15)]
-            hits = cluster.boxes_mask & box_tab[rank]
-            if hits:
-                slot = (hits & -hits).bit_length() - 1
-                index = CLUSTER_SPAN * depth + _SLOT_LENGTH[slot]
-                if index < best_index:
-                    best_index = index
-                    best = (cluster, slot)
-                continue
-            kids = cluster.children_mask & child_tab[rank]
-            children = cluster.children
-            while kids:
-                slot = kids.bit_length() - 1
-                kids ^= 1 << slot
-                stack.append(children[slot])
+            box_row, child_row = box_tab[rank], child_tab[rank]
+            below: list[Cluster] = []
+            best = None
+            best_length = CLUSTER_SPAN + 1
+            for cluster in levels[d]:
+                if skip and not cluster.boxes_mask and cluster.children_mask == _ALL_LAMBDA_CHILD_BIT:
+                    below.append(cluster.children[CHILD_SLOT_LOW])
+                    continue
+                visits += 1
+                hits = cluster.boxes_mask & box_row
+                if hits:
+                    slot = (hits & -hits).bit_length() - 1
+                    if _SLOT_LENGTH[slot] < best_length:
+                        best_length = _SLOT_LENGTH[slot]
+                        best = (cluster, slot)
+                elif best is None:
+                    kids = cluster.children_mask & child_row
+                    children = cluster.children
+                    while kids:
+                        low = kids & -kids
+                        kids ^= low
+                        below.append(children[low.bit_length() - 1])
+            if best is not None or not below:
+                break
+            levels.append(below)
+            d += 1
         self.cluster_visits += visits
-        return None if best is None else self._witness(*best)
+        hit = self._last_hit = None if best is None else self._witness(*best)
+        return hit
 
     def all_containing(self, q: Box, include_shadowed: bool = False) -> list[Box]:
         """All stored boxes containing ``q`` reachable by the mask walk.

@@ -25,12 +25,17 @@ clusters holds a box containing the next probe either, and the step passes
 c to ``find_containing`` as ``settled``; by induction this also covers the
 clusters an earlier walk hopped.
 
+The database read, ``smallest_containing``, resumes through its own memo
+of its last walk (see ``BoxDatabase.smallest_containing``), so it needs no
+``settled``-style promise.
+
 The step's box arithmetic runs on ints through the ``boxes`` functions,
 but the calls a traced run wraps by name, and whose counts it divides by,
 take and give ``Box``es: the cache's ``find_containing`` (``settled`` passed
-positionally) and ``insert``, the database's ``smallest_containing``,
-``gate_passes`` once per resolvent, ``resolve_cascade`` and the module-level
-``advance``.  ``left``, ``probe`` and ``SweepTrace`` hold ``Box``es too.
+positionally) and ``insert``, ``gate_passes`` once per resolvent,
+``resolve_cascade`` and the module-level ``advance``.  It wraps the
+database's ``all_containing`` too, which the sweep never calls.  ``left``,
+``probe`` and ``SweepTrace`` hold ``Box``es too.
 
 Resolved boxes enter the cache only when their λ fraction reaches the
 configured insertion ratio; caching everything bloats the trie faster than

@@ -556,6 +556,76 @@ class TestDifferential:
             assert db.smallest_containing(Box.point(n, 0)) == Box.all_lambda(n)
 
 
+class TestLevelWalk:
+    """``smallest_containing`` resumes its last walk at the first depth the
+    query changes; it must answer exactly as a walk from the root does."""
+
+    def run(self, rng, n, lambda_skip, queries):
+        """Sweep-shaped queries against two equal tries, the second walked
+        from the root every time, with stores interleaved; returns the
+        clusters each visited in ``smallest_containing``."""
+        db = BoxDatabase(n, lambda_skip=lambda_skip)
+        fresh = BoxDatabase(n, lambda_skip=lambda_skip)
+        stored = []
+
+        def store(b):
+            if not any(s.contains(b) for s in stored):
+                stored.append(b)
+                if rng.random() < 0.5:
+                    db.add_uncovered(b)
+                    fresh.add_uncovered(b)
+                    return
+            db.insert(b)
+            fresh.insert(b)
+
+        for _ in range(rng.randint(1, 30)):
+            store(random_box(rng, n, lambda_weight=rng.choice((1, 2, 4, 8))))
+        resumed = walked = 0
+        q = Box.point(n, rng.getrandbits(n))
+        for _ in range(queries):
+            roll = rng.random()
+            if roll < 0.05:
+                store(random_box(rng, n, lambda_weight=rng.choice((2, 4, 8))))
+            elif roll < 0.2:
+                pass  # the same query again
+            else:
+                # keep a prefix of random length; take the rest from a
+                # random point, or from a point inside a stored box
+                keep = ((1 << n) - 1) & ~((1 << rng.randint(0, n)) - 1)
+                if stored and rng.random() < 0.5:
+                    target = specialise(rng, rng.choice(stored), point=True)
+                else:
+                    target = Box.point(n, rng.getrandbits(n))
+                q = Box.point(n, (q.val & keep) | (target.val & ~keep))
+            full = db.all_containing(q, include_shadowed=True)
+            want = min(full, key=lambda b: b.index) if full else None
+            before = db.cluster_visits
+            got = db.smallest_containing(q)
+            resumed += db.cluster_visits - before
+            fresh._levels = None  # walk from the root
+            before = fresh.cluster_visits
+            assert fresh.smallest_containing(q) == want, q
+            walked += fresh.cluster_visits - before
+            assert got == want, q
+        return resumed, walked
+
+    def test_resumed_walks_match_fresh_ones(self):
+        rng = random.Random(0x1E7E)
+        resumed = walked = 0
+        for trial in range(160):
+            n = rng.randint(1, 200)
+            r, w = self.run(rng, n, lambda_skip=bool(trial % 2), queries=40)
+            resumed += r
+            walked += w
+        assert resumed < walked
+
+    def test_wide_trie(self):
+        rng = random.Random(2000)
+        for skip in (True, False):
+            resumed, walked = self.run(rng, 1999, lambda_skip=skip, queries=60)
+            assert resumed < walked
+
+
 class TestWideFormulas:
     def test_n_5000_without_recursion_error(self):
         n = 5000

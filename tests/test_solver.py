@@ -476,6 +476,47 @@ class TestChainHop:
             assert sum(hints) / len(hints) > 24
 
 
+class ForgetfulDatabase(BoxDatabase):
+    """Walks every ``smallest_containing`` query from the root."""
+
+    def smallest_containing(self, q: Box) -> Box | None:
+        self._levels = None
+        return super().smallest_containing(q)
+
+
+class TestDatabaseMemo:
+    def sweep(self, n: int, db: BoxDatabase, config: SolverConfig) -> SolverState:
+        state = SolverState(n, db, config, trace=SweepTrace())
+        state.run_loop()
+        return state
+
+    def test_resumed_database_walks_change_no_step(self):
+        rng = random.Random(19)
+        resumed = walked = 0
+        for _ in range(10):
+            cnf = random_cnf(rng, rng.randint(1, 14), rng.randint(0, 40), width_hi=4)
+            n = cnf.variable_count
+            for name in ORDERING_STRATEGIES:
+                for skip in (True, False):
+                    for mode in ("count", "enumerate"):
+                        config = SolverConfig(ordering=name, lambda_skip=skip, mode=mode)
+                        db = build_database(cnf, build_order(cnf, name), lambda_skip=skip)
+                        forgetful = ForgetfulDatabase(n, lambda_skip=skip)
+                        for b in db.boxes():
+                            forgetful.add_uncovered(b)
+                        assert forgetful.dump() == db.dump()
+                        built = db.cluster_visits, forgetful.cluster_visits
+                        got, want = self.sweep(n, db, config), self.sweep(n, forgetful, config)
+                        assert got.trace.steps == want.trace.steps
+                        assert got.trace.cache_inserts == want.trace.cache_inserts
+                        assert got.model_count == want.model_count
+                        assert got.iterations == want.iterations
+                        assert got.models == want.models
+                        resumed += db.cluster_visits - built[0]
+                        walked += forgetful.cluster_visits - built[1]
+        assert resumed < walked
+
+
 def padded_cnf(rng: random.Random, k: int, free: int) -> tuple[CnfProblem, CnfProblem]:
     """A random CNF on k variables, and the same formula with ``free``
     clause-free variables added, its clause variables scattered over the
