@@ -560,7 +560,7 @@ class TestLevelWalk:
     """``smallest_containing`` resumes its last walk at the first depth the
     query changes; it must answer exactly as a walk from the root does."""
 
-    def run(self, rng, n, lambda_skip, queries):
+    def compare(self, rng, n, lambda_skip, queries):
         """Sweep-shaped queries against two equal tries, the second walked
         from the root every time, with stores interleaved; returns the
         clusters each visited in ``smallest_containing``."""
@@ -614,7 +614,7 @@ class TestLevelWalk:
         resumed = walked = 0
         for trial in range(160):
             n = rng.randint(1, 200)
-            r, w = self.run(rng, n, lambda_skip=bool(trial % 2), queries=40)
+            r, w = self.compare(rng, n, lambda_skip=bool(trial % 2), queries=40)
             resumed += r
             walked += w
         assert resumed < walked
@@ -622,7 +622,7 @@ class TestLevelWalk:
     def test_wide_trie(self):
         rng = random.Random(2000)
         for skip in (True, False):
-            resumed, walked = self.run(rng, 1999, lambda_skip=skip, queries=60)
+            resumed, walked = self.compare(rng, 1999, lambda_skip=skip, queries=60)
             assert resumed < walked
 
 
