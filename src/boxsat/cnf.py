@@ -9,6 +9,7 @@ absent variable to λ.
 from __future__ import annotations
 
 import io
+import sys
 from dataclasses import dataclass, field
 from operator import neg
 from typing import IO, Collection, Iterable, Iterator
@@ -144,7 +145,17 @@ def parse_dimacs(source: str | bytes | IO) -> CnfProblem:
     clause section (SATLIB convention).  Duplicate literals inside a clause
     are dropped; tautological clauses (x and -x together) are discarded
     entirely since they reject no assignment, though they still count toward
-    the declared clause total.
+    the declared clause total.  A header declaring more than
+    ``sys.maxsize - 1`` variables is refused: no per-variable table that
+    long can be indexed.
+
+    A line read as one whole clause is remembered, and when no clause is
+    pending a repeat of that line counts and appends what the first reading
+    made of it, without being split again: so repeated lines share one
+    ``Clause`` object (``Clause`` is frozen).  This is sound because the
+    table of known tokens only grows, so a line that was one whole clause
+    once still is, with the same literal set.  Lines read token by token
+    are not remembered, and the memory lasts for one call.
     """
     n = -1
     declared = -1
@@ -153,17 +164,27 @@ def parse_dimacs(source: str | bytes | IO) -> CnfProblem:
     comments: list[str] = []
     pending: list[int] = []
     known: dict[str, int] = {}  # token -> literal, once read as one in range
+    # raw line -> its Clause, or None for a tautology, once read as one whole clause
+    whole: dict[str, Clause | None] = {}
     ended = False
 
-    def finish_clause(lits: frozenset[int]):
+    def finish_clause(lits: frozenset[int]) -> Clause | None:
         nonlocal seen
         seen += 1
         # a tautology is dropped: its box would need both T and F at one spot
         if lits.isdisjoint(map(neg, lits)):
-            clauses.append(Clause(lits))
+            clause = Clause(lits)
+            clauses.append(clause)
+            return clause
+        return None
 
     line_no = 0
     for line_no, raw in enumerate(_text_lines(source), 1):
+        if not pending and raw in whole:
+            seen += 1
+            if (clause := whole[raw]) is not None:
+                clauses.append(clause)
+            continue
         line = raw.strip()
         if not line:
             continue
@@ -185,13 +206,17 @@ def parse_dimacs(source: str | bytes | IO) -> CnfProblem:
                 raise DimacsError(f"malformed header {line!r}", line_no) from None
             if n < 0 or declared < 0:
                 raise DimacsError("negative counts in header", line_no)
+            if n > sys.maxsize - 1:
+                raise DimacsError(
+                    f"header declares {n} variables; at most {sys.maxsize - 1} fit an index",
+                    line_no)
             continue
         if n < 0:
             raise DimacsError("clause before 'p cnf' header", line_no)
         tokens = line.split()
         lits = None if pending else _whole_clause(tokens, known)
         if lits is not None:
-            finish_clause(lits)
+            whole[raw] = finish_clause(lits)
             continue
         for token in tokens:
             try:

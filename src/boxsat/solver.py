@@ -309,12 +309,27 @@ class SolverState:
 def build_database(
     cnf: CnfProblem, order: VariableOrder, lambda_skip: bool = True
 ) -> BoxDatabase:
+    """The clause database: each clause's box inserted in clause order.
+
+    Equal literal sets give equal boxes, and inserting a box already stored
+    changes nothing, so each set is converted and inserted once.  A box
+    fixing no more positions than the fewest any earlier box fixes is stored
+    by ``add_uncovered``, skipping ``insert``'s containment walk: a box that
+    contains a different box fixes a strict subset of its positions, and
+    distinct non-tautological literal sets give distinct boxes.  So the
+    stored boxes, the trie and ``max_index`` are those of one ``insert`` per
+    clause; only ``cluster_visits`` counts fewer visits.
+    """
     n = cnf.variable_count
     db = BoxDatabase(n, lambda_skip=lambda_skip)
-    # Equal literal sets give equal boxes, and inserting a box already
-    # stored changes nothing, so each set is converted and inserted once.
+    fewest = n + 1  # fewest fixed positions of any box handled so far
     for box in clause_boxes(dict.fromkeys(cl.literals for cl in cnf.clauses), n, order):
-        db.insert(box)
+        fixed = box.mask.bit_count()
+        if fixed <= fewest:
+            fewest = fixed
+            db.add_uncovered(box)
+        else:
+            db.insert(box)
     return db
 
 

@@ -226,6 +226,16 @@ class TestParseErrors:
         bad.write_text("0 zebra\n")
         assert main(["gen", str(bad), "--query", "clique", "--size", "3"]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("n", [99999999999999999999, sys.maxsize])
+    def test_header_past_index_range(self, tmp_path, capsys, n):
+        """Refused by the parser, before any per-variable table is made."""
+        bad = tmp_path / "wide.cnf"
+        bad.write_text(f"p cnf {n} 0\n")
+        assert main(["count", str(bad)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: line 1: header declares {n} variables")
+        assert err.count("\n") == 1
+
     def test_non_utf8_edge_list(self, tmp_path):
         bad = tmp_path / "bad.edges"
         bad.write_bytes(b"0 1\n\xff\xfe 2\n")

@@ -1,5 +1,7 @@
 import io
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given
@@ -86,6 +88,12 @@ class TestParse:
     def test_unterminated_clause(self):
         with pytest.raises(DimacsError, match="unterminated"):
             parse_dimacs("p cnf 2 1\n1 2\n")
+
+    def test_header_variable_limit(self):
+        assert parse_dimacs(f"p cnf {sys.maxsize - 1} 0\n").variable_count == sys.maxsize - 1
+        for n in (sys.maxsize, 10**20):
+            with pytest.raises(DimacsError, match=f"line 1: header declares {n} variables"):
+                parse_dimacs(f"p cnf {n} 0\n")
 
     def test_duplicate_header(self):
         with pytest.raises(DimacsError):
@@ -385,3 +393,58 @@ class TestParseDifferential:
         assert {"bad", "literal", "unterminated", "header", "duplicate",
                 "malformed", "clause"} <= errors
         assert sum(o[0] == "ok" and len(o[2]) > 2 for o in outcomes) > 200
+
+
+def repeat_lines(rng: random.Random, text: str) -> str:
+    """``text`` with copies of some of its lines other than the header put
+    back at random places past it, sometimes after a '%' line; the header's
+    clause total is left as it is."""
+    lines = text.split("\n")
+    header = next(i for i, line in enumerate(lines) if line.startswith("p"))
+    pool = lines[:header] + lines[header + 1:] or [""]
+    out = list(lines)
+    for _ in range(rng.randint(1, 8)):
+        out.insert(rng.randint(header + 1, len(out)), rng.choice(pool))
+    if rng.random() < 0.2:
+        out += ["%"] + rng.choices(pool, k=2)
+    return "\n".join(out)
+
+
+def with_total(text: str, total: int) -> str:
+    """``text`` with its first header's clause total set to ``total``."""
+    return re.sub(r"^(p cnf \S+) \S+$", rf"\g<1> {total}", text, count=1, flags=re.M)
+
+
+class TestRepeatedLines:
+    def test_matches_token_loop_with_repeated_lines(self):
+        rng = random.Random(0x2E9)
+        ok = shared = 0
+        for _ in range(600):
+            source = repeat_lines(rng, random_dimacs(rng))
+            want = outcome(reference_parse_dimacs, source)
+            if want[0] == "error" and (found := re.search(r"found (\d+)$", want[1])):
+                source = with_total(source, int(found[1]))
+                want = outcome(reference_parse_dimacs, source)
+            forms = (source, source.encode(), io.BytesIO(source.encode()), io.StringIO(source))
+            for form in forms:
+                assert outcome(parse_dimacs, form) == want, source
+            if want[0] == "ok":
+                ok += 1
+                clauses = parse_dimacs(source).clauses
+                shared += len(set(map(id, clauses))) < len(clauses)
+        assert ok > 400 and shared > 50
+
+    def test_repeat_continues_a_pending_clause(self):
+        # the first line teaches the parser its tokens; the second is then
+        # read as one whole clause, and the fourth continues "1 2"
+        cnf = parse_dimacs("p cnf 4 4\n3 4 0\n3 4 0\n1 2\n3 4 0\n3 4 0\n")
+        _, whole, joined, again = cnf.clauses
+        assert sorted(whole.literals) == [3, 4]
+        assert sorted(joined.literals) == [1, 2, 3, 4]
+        assert again is whole
+
+    def test_repeated_tautology_counts_each_time(self):
+        cnf = parse_dimacs("p cnf 2 3\n1 -1 0\n1 -1 0\n1 -1 0\n")
+        assert cnf.clauses == []
+        with pytest.raises(DimacsError, match="declares 2 clauses, found 3"):
+            parse_dimacs("p cnf 2 2\n1 -1 0\n1 -1 0\n1 -1 0\n")

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import combinations
 
 import pytest
 
@@ -16,12 +17,12 @@ from boxsat import (
     parse_dimacs,
     run,
 )
-from boxsat.benchgen import hidden_solution_blocks
+from boxsat.benchgen import GraphQuerySpec, InputGraph, generate_cnf, hidden_solution_blocks
 from boxsat.boxes import BoxError, Trit
 from boxsat.solver import SolverError, SolverState, SweepTrace, advance, build_database
 from boxsat.oracle import brute_count, brute_models
 
-from conftest import random_cnf
+from conftest import random_clause, random_cnf
 
 B = Box.parse
 
@@ -663,6 +664,53 @@ def reference_clause_box(clause: Clause, n: int, order: VariableOrder) -> Box:
     return Box(n, mask, val)
 
 
+def mixed_width_clauses(rng: random.Random, n: int, m: int) -> list[Clause]:
+    """Short, long and very wide clauses, with subsets and supersets of
+    earlier ones, repeats and tautologies."""
+    clauses: list[Clause] = []
+    for _ in range(m):
+        roll = rng.random()
+        if clauses and roll < 0.3:  # a subset or superset of an earlier clause
+            lits = set(rng.choice(clauses).literals)
+            if rng.random() < 0.5 and len(lits) > 1:
+                lits = set(rng.sample(sorted(lits), rng.randint(1, len(lits) - 1)))
+            else:
+                free = [v for v in range(1, n + 1) if v not in map(abs, lits)]
+                lits |= {rng.choice((v, -v)) for v in rng.sample(free, min(len(free), 3))}
+            clause = Clause(lits)
+        elif clauses and roll < 0.4:
+            clause = rng.choice(clauses)  # repeated
+        else:
+            width = rng.choice((1, 2, 3, 12, 12, n))
+            clause = random_clause(rng, n, width)
+            if roll > 0.93:  # tautology
+                v = abs(rng.choice(sorted(clause.literals)))
+                clause = Clause(clause.literals | {v, -v})
+        clauses.append(clause)
+    return clauses
+
+
+def build_and_reference(
+    cnf: CnfProblem, order: VariableOrder, skip: bool
+) -> tuple[BoxDatabase, BoxDatabase, int]:
+    """``build_database``'s trie and one built by one ``insert`` per distinct
+    box in arrival order, checked equal, and the number of distinct boxes."""
+    n = cnf.variable_count
+    want = BoxDatabase(n, lambda_skip=skip)
+    boxes = dict.fromkeys(reference_clause_box(cl, n, order) for cl in cnf.clauses
+                          if not any(-lit in cl.literals for lit in cl.literals))
+    for box in boxes:
+        want.insert(box)
+    got = build_database(cnf, order, lambda_skip=skip)
+    assert got.dump() == want.dump()
+    assert list(got.boxes()) == list(want.boxes())
+    assert len(got) == len(want)
+    assert got.max_index == want.max_index
+    assert [c.depth for c in got._chain] == [c.depth for c in want._chain]
+    assert got.cluster_visits <= want.cluster_visits
+    return got, want, len(boxes)
+
+
 class TestBuildDatabase:
     def test_equals_one_insert_per_clause(self):
         """Repeated and subsumed clauses, in both arrival orders, build the
@@ -691,6 +739,39 @@ class TestBuildDatabase:
                     assert got.dump() == want.dump()
                     assert len(got) == len(want)
                     assert got.max_index == want.max_index
+
+    def test_equals_one_insert_per_distinct_box(self):
+        """Boxes the build stores without a containment walk leave the trie
+        that one ``insert`` per distinct box builds, in every arrival order
+        of short and long clauses."""
+        rng = random.Random(0xF3E)
+        covered = fewer_visits = 0
+        cases = [(rng.randint(1, 200), rng.randint(1, 40)) for _ in range(120)]
+        for n, m in cases + [(1999, 30)]:
+            clauses = mixed_width_clauses(rng, n, m)
+            arrangement = rng.randrange(3)
+            if arrangement == 1:  # short clauses after long ones, as the triangles
+                clauses.sort(key=len, reverse=True)
+            elif arrangement == 2:  # short clauses first
+                clauses.sort(key=len)
+            cnf = CnfProblem(n, clauses)
+            order = VariableOrder(rng.sample(range(1, n + 1), n))
+            for skip in (True, False):
+                got, want, distinct = build_and_reference(cnf, order, skip)
+                covered += len(want) < distinct
+                fewer_visits += got.cluster_visits < want.cluster_visits
+        # the inputs reach covered boxes, and every build skips a walk
+        assert covered > 100 and fewer_visits == 2 * len(cases) + 2
+
+    def test_benchmark_generators_equal_one_insert_per_distinct_box(self):
+        rng = random.Random(0x7A1)
+        edges = frozenset((a, b) for a, b in combinations(range(40), 2) if rng.random() < 0.1)
+        triangles = generate_cnf(InputGraph(40, edges), GraphQuerySpec("clique", 3))
+        blocks, _ = hidden_solution_blocks(seed=21)
+        for cnf in (triangles, blocks):
+            order = build_order(cnf, SolverConfig().ordering)
+            for skip in (True, False):
+                build_and_reference(cnf, order, skip)
 
     def test_tautology_has_no_box_and_is_skipped(self):
         order = VariableOrder.identity(3)
