@@ -6,7 +6,7 @@ restricted resolution, and stores everything in a cluster-compressed ternary
 trie answering containment queries with wide bitmask intersections.
 """
 
-from .boxes import Box, BoxError, Trit, resolve, subbox_rank, tail_resolvable
+from .boxes import Box, BoxError, Trit, resolve, subbox_rank
 from .clustertrie import BoxDatabase, LookupTables, build_lookup_tables
 from .cnf import (
     Clause,
@@ -47,6 +47,5 @@ __all__ = [
     "resolve",
     "run",
     "subbox_rank",
-    "tail_resolvable",
     "write_dimacs",
 ]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import IO, Iterable
 
-from .cnf import Clause, CnfProblem, _text_lines
+from .cnf import Clause, CnfProblem, _int_token, _text_lines
 
 
 class EdgeListError(ValueError):
@@ -88,9 +88,10 @@ def read_edge_list(source: str | bytes | Iterable[str] | IO) -> InputGraph:
     ends a line, and undecodable input raises :class:`EdgeListError`,
     naming its line where the source is binary.
 
-    Vertex ids are densified to 0..V-1 in first-appearance order; duplicate
-    and reversed edges merge, self-loops are dropped (their endpoints still
-    count as vertices).
+    A vertex id is an optional sign followed by ASCII digits.  Ids are
+    densified to 0..V-1 in first-appearance order; duplicate and reversed
+    edges merge, self-loops are dropped (their endpoints still count as
+    vertices).
     """
     ids: dict[int, int] = {}
     edges: set[tuple[int, int]] = set()
@@ -108,7 +109,7 @@ def read_edge_list(source: str | bytes | Iterable[str] | IO) -> InputGraph:
         if len(parts) != 2:
             raise EdgeListError(f"expected two vertex ids, got {line!r}", line_no)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _int_token(parts[0]), _int_token(parts[1])
         except ValueError:
             raise EdgeListError(f"non-integer token in {line!r}", line_no) from None
         du, dv = dense(u), dense(v)

@@ -14,8 +14,8 @@ sweep order (F = left = 0, T = right = 1).
 
 The int functions ``last_fixed`` (a box's index), ``contains``,
 ``tail_resolvent`` and ``carry`` (the advance past a box) are the one copy of
-that arithmetic.  ``Box`` is the boundary type: its methods, ``tail_resolve``
-and the solver's hot loop call them on a box's ints.
+that arithmetic.  ``Box`` is the boundary type: its methods and the solver's
+hot loop call them on a box's ints.
 """
 
 from __future__ import annotations
@@ -106,10 +106,6 @@ class Box:
         return last_fixed(self.n, self.mask)
 
     @property
-    def fixed_count(self) -> int:
-        return self.mask.bit_count()
-
-    @property
     def lambda_count(self) -> int:
         return self.n - self.mask.bit_count()
 
@@ -158,6 +154,8 @@ def tail_resolvent(m: int, v: int, pm: int, pv: int) -> tuple[int, int] | None:
     oppose at one position only and it is the last non-λ of both, else None.
 
     The pivot becomes λ: it leaves the mask, and its one T the values.
+    This is the restricted resolution the sweep performs: it peels only the
+    shared trailing position, so the result's index is shorter than both.
     """
     low = m & -m
     if not low or m & pm & (v ^ pv) != low or pm & -pm != low:
@@ -192,24 +190,6 @@ def resolve(b: Box, c: Box) -> Box:
     if opposing & (opposing - 1):
         raise BoxError("resolution undefined: multiple opposing positions")
     return Box(b.n, (b.mask | c.mask) ^ opposing, (b.val | c.val) ^ opposing)
-
-
-def tail_resolve(b: Box, c: Box) -> Box | None:
-    """Resolve the boxes if the pivot is the last non-λ of both, else None.
-
-    This is the restricted form the sweep solver performs: resolutions only
-    ever peel the shared trailing position, so each result strictly shortens
-    the box index.
-    """
-    if b.n != c.n:
-        raise BoxError("resolvability needs equal lengths")
-    r = tail_resolvent(b.mask, b.val, c.mask, c.val)
-    return None if r is None else Box(b.n, *r)
-
-
-def tail_resolvable(b: Box, c: Box) -> bool:
-    """True iff the boxes resolve *and* the pivot is the last non-λ of both."""
-    return tail_resolve(b, c) is not None
 
 
 # -- sub-box ranking -----------------------------------------------------

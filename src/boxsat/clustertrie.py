@@ -469,7 +469,3 @@ class BoxDatabase:
                 m ^= low
                 lines.append(f"{depth}:{low.bit_length() - 1}")
         return "\n".join(lines)
-
-    def total_set_bits(self) -> int:
-        return sum(c.boxes_mask.bit_count() + c.children_mask.bit_count()
-                   for c in self._clusters())

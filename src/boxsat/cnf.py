@@ -9,12 +9,16 @@ absent variable to λ.
 from __future__ import annotations
 
 import io
+import re
 import sys
 from dataclasses import dataclass, field
 from operator import neg
 from typing import IO, Collection, Iterable, Iterator
 
 from .boxes import Box, Trit
+
+
+_LINE_END = re.compile(r"\r\n?|\n")
 
 
 class DimacsError(ValueError):
@@ -125,6 +129,15 @@ def _text_lines(source: str | bytes | IO | Iterable[str], error: type[ValueError
         raise error(f"undecodable input ({exc.encoding}: {exc.reason})", line) from None
 
 
+def _int_token(token: str) -> int:
+    """The int that ``token``, a piece of ``str.split`` output, spells if it
+    is an optional sign followed by ASCII digits; ValueError otherwise.
+    ``int`` alone also takes underscores and non-ASCII digits."""
+    if "_" in token or not token.isascii():
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def _whole_clause(tokens: list[str], known: dict[str, int]) -> frozenset[int] | None:
     """The literals of a line that is one whole clause of tokens already
     read as in-range literals (``known``), ending in its 0; None for any
@@ -142,12 +155,13 @@ def parse_dimacs(source: str | bytes | IO) -> CnfProblem:
     """Parse DIMACS CNF text.
 
     Comment lines are preserved, clauses may span lines, a '%' line ends the
-    clause section (SATLIB convention).  Duplicate literals inside a clause
-    are dropped; tautological clauses (x and -x together) are discarded
-    entirely since they reject no assignment, though they still count toward
-    the declared clause total.  A header declaring more than
-    ``sys.maxsize - 1`` variables is refused: no per-variable table that
-    long can be indexed.
+    clause section (SATLIB convention).  Header fields and literals must be
+    an optional sign followed by ASCII digits; ``-0`` and ``+0`` end a
+    clause as ``0`` does.  Duplicate literals inside a clause are dropped;
+    tautological clauses (x and -x together) are discarded entirely since
+    they reject no assignment, though they still count toward the declared
+    clause total.  A header declaring more than ``sys.maxsize - 1``
+    variables is refused: no per-variable table that long can be indexed.
 
     A line read as one whole clause is remembered, and when no clause is
     pending a repeat of that line counts and appends what the first reading
@@ -201,7 +215,7 @@ def parse_dimacs(source: str | bytes | IO) -> CnfProblem:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DimacsError(f"malformed header {line!r}", line_no)
             try:
-                n, declared = int(parts[2]), int(parts[3])
+                n, declared = _int_token(parts[2]), _int_token(parts[3])
             except ValueError:
                 raise DimacsError(f"malformed header {line!r}", line_no) from None
             if n < 0 or declared < 0:
@@ -220,7 +234,7 @@ def parse_dimacs(source: str | bytes | IO) -> CnfProblem:
             continue
         for token in tokens:
             try:
-                lit = int(token)
+                lit = _int_token(token)
             except ValueError:
                 raise DimacsError(f"bad token {token!r}", line_no) from None
             if lit == 0:
@@ -242,8 +256,13 @@ def parse_dimacs(source: str | bytes | IO) -> CnfProblem:
 
 
 def write_dimacs(cnf: CnfProblem, out: IO) -> None:
+    """Write ``cnf`` as DIMACS text, each line of each comment as one ``c``
+    line: a line end inside a comment would otherwise start a line that is
+    no comment.  A carriage return, alone or before a line feed, ends a line
+    too, as a file read in text mode takes it."""
     for comment in cnf.comments:
-        out.write(f"c {comment}\n")
+        for line in _LINE_END.split(comment):
+            out.write(f"c {line}\n")
     out.write(f"p cnf {cnf.variable_count} {cnf.clause_count}\n")
     for cl in cnf.clauses:
         out.write(" ".join(map(str, cl)) + " 0\n")

@@ -156,9 +156,10 @@ class SolverState:
         self.left: list[Box | None] = [None] * (n + 1)
         self.probe = Box.point(n, 0)
         self.model_count = 0
-        # with no sink given, enumerate mode streams models into ``models``
+        # with no sink given, enumerate mode streams models into ``models``:
+        # points, or signed-literal tuples once ``run`` installs ``_expand``
         retain = self.config.mode == "enumerate" and on_model is None
-        self.models: list[Box] | None = [] if retain else None
+        self.models: list[Box] | list[tuple[int, ...]] | None = [] if retain else None
         self.on_model = self.models.append if retain else on_model
         # what a model box streams as: its points, unless ``run`` installs
         # the literal-tuple expansion

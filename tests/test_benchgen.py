@@ -56,6 +56,22 @@ class TestReadEdgeList:
         with pytest.raises(EdgeListError, match="line 2"):
             read_edge_list("0 1\n0 x\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("\u0661 2\n1_0 3\n", 1),  # an Arabic-Indic digit one
+            ("0 1\n1_0 3\n", 2),
+            ("0 \uff13\n", 1),  # a fullwidth digit three
+        ],
+    )
+    def test_tokens_int_takes_but_an_id_may_not_be(self, text, line):
+        with pytest.raises(EdgeListError, match=f"^line {line}: non-integer token"):
+            read_edge_list(text)
+
+    def test_signed_ids(self):
+        g = read_edge_list("-1 +2\n2 -1\n")
+        assert (g.vertex_count, len(g.edges)) == (2, 1)
+
     def test_wrong_token_count(self):
         with pytest.raises(EdgeListError, match="line 1"):
             read_edge_list("0 1 2\n")

@@ -16,8 +16,6 @@ from boxsat.boxes import (
     rank_to_trits,
     resolve,
     subbox_rank,
-    tail_resolvable,
-    tail_resolve,
     tail_resolvent,
 )
 
@@ -142,23 +140,30 @@ class TestResolve:
             checked += 1
 
 
+def mv(text: str) -> tuple[int, int]:
+    """(mask, val) of the box spelled ``text``."""
+    b = B(text)
+    return b.mask, b.val
+
+
 class TestTailResolvable:
     def test_shared_tail_pivot(self):
-        assert tail_resolvable(B("FF-"), B("FT-"))
+        assert tail_resolvent(*mv("FF-"), *mv("FT-")) == mv("F--")
 
     def test_pivot_not_at_tail(self):
-        assert not tail_resolvable(B("FT-"), B("-FF"))
+        assert tail_resolvent(*mv("FT-"), *mv("-FF")) is None
 
     def test_full_points(self):
-        assert tail_resolvable(B("TTT"), B("TTF"))
+        assert tail_resolvent(*mv("TTT"), *mv("TTF")) == mv("TT-")
 
     @given(boxes_st(6), boxes_st(6))
     def test_implies_resolvable_and_shorter(self, b, c):
-        if tail_resolvable(b, c):
-            r = resolve(b, c)  # must not raise
-            assert r.index < b.index
-            assert r.index < c.index
-
+        r = tail_resolvent(b.mask, b.val, c.mask, c.val)
+        if r is not None:
+            full = resolve(b, c)  # must not raise
+            assert (full.mask, full.val) == r
+            assert last_fixed(b.n, r[0]) < b.index
+            assert last_fixed(c.n, r[0]) < c.index
 
 
 class TestTailResolve:
@@ -184,14 +189,13 @@ class TestTailResolve:
         for b in every:
             for c in every:
                 expected = self.by_trits(b, c)
-                assert tail_resolve(b, c) == expected
-                assert tail_resolvable(b, c) == (expected is not None)
-                if expected is not None:
+                got = tail_resolvent(b.mask, b.val, c.mask, c.val)
+                if expected is None:
+                    assert got is None
+                else:
+                    assert got == (expected.mask, expected.val)
                     assert expected == resolve(b, c)
 
-    def test_length_mismatch(self):
-        with pytest.raises(BoxError):
-            tail_resolve(B("TF"), B("TFF"))
 
 class TestSubboxRank:
     def test_empty(self):
@@ -272,7 +276,6 @@ class TestBoxBasics:
 
     def test_lambda_count(self):
         assert B("T-F--").lambda_count == 3
-        assert B("T-F--").fixed_count == 2
 
 
 class TestBoxChecks:

@@ -236,6 +236,24 @@ class TestParseErrors:
         assert err.startswith(f"parse error: line 1: header declares {n} variables")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            (["count"], "p cnf 10 1\n1_0 0\n", "line 2: bad token '1_0'"),
+            (["count"], "p cnf 3_0 1\n1 0\n", "line 1: malformed header"),
+            (["gen", "--query", "clique", "--size", "3"], "0 1\n1_0 3\n",
+             "line 2: non-integer token"),
+        ],
+    )
+    def test_tokens_int_takes_but_dimacs_does_not(self, tmp_path, capsys, command, text,
+                                                  message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert main([command[0], str(bad), *command[1:]]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {message}")
+        assert err.count("\n") == 1
+
     def test_non_utf8_edge_list(self, tmp_path):
         bad = tmp_path / "bad.edges"
         bad.write_bytes(b"0 1\n\xff\xfe 2\n")

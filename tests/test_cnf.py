@@ -95,6 +95,26 @@ class TestParse:
             with pytest.raises(DimacsError, match=f"line 1: header declares {n} variables"):
                 parse_dimacs(f"p cnf {n} 0\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("p cnf 10 1\n1_0 0\n", 2),
+            ("p cnf 10 2\n1 0\n1_0 0\n", 3),
+            ("p cnf 1 1\n\u0661 0\n", 2),  # an Arabic-Indic digit one
+            ("p cnf 3 1\n1 \uff12 0\n", 2),  # a fullwidth digit two
+            ("p cnf 3_0 1\n1 0\n", 1),
+            ("p cnf 3 1_0\n1 0\n", 1),
+            ("p cnf \u0663 1\n1 0\n", 1),
+        ],
+    )
+    def test_tokens_int_takes_but_dimacs_does_not(self, text, line):
+        with pytest.raises(DimacsError, match=f"^line {line}: (bad token|malformed header)"):
+            parse_dimacs(text)
+
+    def test_signed_zero_ends_a_clause(self):
+        cnf = parse_dimacs("p cnf 2 2\n1 2 -0\n+1 -2 +0\n")
+        assert [c.literals for c in cnf.clauses] == [frozenset({1, 2}), frozenset({1, -2})]
+
     def test_duplicate_header(self):
         with pytest.raises(DimacsError):
             parse_dimacs("p cnf 1 0\np cnf 1 0\n")
@@ -119,6 +139,29 @@ class TestParse:
         assert [c.literals for c in again.clauses] == [
             c.literals for c in example1.clauses
         ]
+
+    @pytest.mark.parametrize(
+        "comment, lines",
+        [
+            ("a\nb", ["a", "b"]),
+            ("a\r\nb\rc", ["a", "b", "c"]),
+            ("", [""]),
+            ("tail\n", ["tail", ""]),
+        ],
+    )
+    def test_comment_lines_round_trip(self, tmp_path, comment, lines):
+        cnf = CnfProblem(2, [Clause([1]), Clause([-1, 2])], [comment, "last"])
+        buf = io.StringIO()
+        write_dimacs(cnf, buf)
+        path = tmp_path / "out.cnf"
+        with open(path, "w") as fh:
+            write_dimacs(cnf, fh)
+        # a str splits lines at line feeds only; a file read in text mode
+        # at carriage returns too
+        for text in (buf.getvalue(), path.read_text()):
+            again = parse_dimacs(text)
+            assert again.comments == lines + ["last"]
+            assert [c.literals for c in again.clauses] == [c.literals for c in cnf.clauses]
 
 
 class TestClauseBox:
@@ -247,6 +290,13 @@ class TestCnfProblem:
             CnfProblem(3, [Clause([1, -5]), Clause([2]), Clause([7, 3])])
 
 
+def dimacs_int(token: str) -> int:
+    """``int`` of a DIMACS integer: an optional sign, then ASCII digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", token):
+        raise ValueError(token)
+    return int(token)
+
+
 def reference_parse_dimacs(source):
     """The token-by-token parser the whole-clause fast path must agree with."""
     n = -1
@@ -284,7 +334,7 @@ def reference_parse_dimacs(source):
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DimacsError(f"malformed header {line!r}", line_no)
             try:
-                n, declared = int(parts[2]), int(parts[3])
+                n, declared = dimacs_int(parts[2]), dimacs_int(parts[3])
             except ValueError:
                 raise DimacsError(f"malformed header {line!r}", line_no) from None
             if n < 0 or declared < 0:
@@ -294,7 +344,7 @@ def reference_parse_dimacs(source):
             raise DimacsError("clause before 'p cnf' header", line_no)
         for token in line.split():
             try:
-                lit = int(token)
+                lit = dimacs_int(token)
             except ValueError:
                 raise DimacsError(f"bad token {token!r}", line_no) from None
             if lit == 0:
@@ -351,7 +401,8 @@ def random_dimacs(rng: random.Random) -> str:
     return text if rng.random() < 0.2 else text + "\n"
 
 
-EDITS = ["x", "0", "00", "-0", "+1", "1.5", "10", "-10", "99", "p cnf 3 1", "c c", "%", "\n", " ", "-"]
+EDITS = ["x", "0", "00", "-0", "+1", "1.5", "10", "-10", "99", "p cnf 3 1", "c c", "%", "\n", " ", "-",
+         "1_0", "\u0661"]
 
 
 def mutate(rng: random.Random, text: str) -> str:
