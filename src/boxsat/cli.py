@@ -4,13 +4,14 @@ Machine-readable output follows model-counting competition conventions:
 ``s MODELS <count>`` for the answer, ``v <literals> 0`` per enumerated
 model, and ``c ...`` for everything informational.
 
-Exit codes: 0 success, 1 usage error, 2 parse error, 3 timeout,
-4 verification mismatch.
+Exit codes: 0 success, 1 usage error (or a closed output pipe, with
+nothing on stderr), 2 parse error, 3 timeout, 4 verification mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import AbstractContextManager, nullcontext
 from decimal import Decimal
@@ -172,6 +173,13 @@ def main(argv: list[str] | None = None) -> int:
     except (DimacsError, EdgeListError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except BrokenPipeError:
+        # the reader closed the pipe (``boxsat enumerate f.cnf | head -1``):
+        # stdout now writes to the null device, so the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -138,19 +138,6 @@ def _int_token(token: str) -> int:
     return int(token)
 
 
-def _whole_clause(tokens: list[str], known: dict[str, int]) -> frozenset[int] | None:
-    """The literals of a line that is one whole clause of tokens already
-    read as in-range literals (``known``), ending in its 0; None for any
-    other line."""
-    if len(tokens) < 2 or tokens[-1] != "0":
-        return None
-    lits = list(map(known.get, tokens))
-    lits.pop()
-    if None in lits:
-        return None
-    return frozenset(lits)
-
-
 def parse_dimacs(source: str | bytes | IO) -> CnfProblem:
     """Parse DIMACS CNF text.
 
@@ -163,41 +150,29 @@ def parse_dimacs(source: str | bytes | IO) -> CnfProblem:
     clause total.  A header declaring more than ``sys.maxsize - 1``
     variables is refused: no per-variable table that long can be indexed.
 
-    A line read as one whole clause is remembered, and when no clause is
-    pending a repeat of that line counts and appends what the first reading
-    made of it, without being split again: so repeated lines share one
-    ``Clause`` object (``Clause`` is frozen).  This is sound because the
-    table of known tokens only grows, so a line that was one whole clause
-    once still is, with the same literal set.  Lines read token by token
-    are not remembered, and the memory lasts for one call.
+    Every clause line is read by one token loop.  A token is checked the
+    first time it occurs and its literal kept in a table for the call, so
+    an error names the first line holding a bad token.  A line that starts
+    with no clause pending and finishes exactly one clause, leaving none
+    pending, is remembered; a repeat of it with no clause pending counts and
+    appends what the first reading made, without being split again, so
+    repeated lines share one ``Clause`` object (``Clause`` is frozen).  This
+    is sound because a token's literal depends only on the token and the
+    header's variable count, which cannot change after the first clause
+    line: the repeat would read as the same literal set.
     """
-    n = -1
-    declared = -1
-    seen = 0
-    clauses: list[Clause] = []
+    n = declared = -1
+    found: list[Clause | None] = []  # every clause read, None for a tautology
     comments: list[str] = []
     pending: list[int] = []
-    known: dict[str, int] = {}  # token -> literal, once read as one in range
-    # raw line -> its Clause, or None for a tautology, once read as one whole clause
-    whole: dict[str, Clause | None] = {}
+    literal_of: dict[str, int] = {}  # token -> its checked literal, 0 for a clause end
+    whole: dict[str, Clause | None] = {}  # raw line -> the one clause it makes
     ended = False
-
-    def finish_clause(lits: frozenset[int]) -> Clause | None:
-        nonlocal seen
-        seen += 1
-        # a tautology is dropped: its box would need both T and F at one spot
-        if lits.isdisjoint(map(neg, lits)):
-            clause = Clause(lits)
-            clauses.append(clause)
-            return clause
-        return None
 
     line_no = 0
     for line_no, raw in enumerate(_text_lines(source), 1):
         if not pending and raw in whole:
-            seen += 1
-            if (clause := whole[raw]) is not None:
-                clauses.append(clause)
+            found.append(whole[raw])
             continue
         line = raw.strip()
         if not line:
@@ -227,32 +202,34 @@ def parse_dimacs(source: str | bytes | IO) -> CnfProblem:
             continue
         if n < 0:
             raise DimacsError("clause before 'p cnf' header", line_no)
-        tokens = line.split()
-        lits = None if pending else _whole_clause(tokens, known)
-        if lits is not None:
-            whole[raw] = finish_clause(lits)
-            continue
-        for token in tokens:
-            try:
-                lit = _int_token(token)
-            except ValueError:
-                raise DimacsError(f"bad token {token!r}", line_no) from None
-            if lit == 0:
-                finish_clause(frozenset(pending))
-                pending.clear()
+        fresh, first = not pending, len(found)
+        for token in line.split():
+            lit = literal_of.get(token)
+            if lit is None:
+                try:
+                    lit = _int_token(token)
+                except ValueError:
+                    raise DimacsError(f"bad token {token!r}", line_no) from None
+                if lit and not 1 <= abs(lit) <= n:
+                    raise DimacsError(f"literal {lit} out of range 1..{n}", line_no)
+                literal_of[token] = lit
+            if lit:
+                pending.append(lit)
                 continue
-            if not 1 <= abs(lit) <= n:
-                raise DimacsError(f"literal {lit} out of range 1..{n}", line_no)
-            known[token] = lit
-            pending.append(lit)
+            lits = frozenset(pending)
+            pending.clear()
+            # a tautology is dropped: its box would need both T and F at one spot
+            found.append(Clause(lits) if lits.isdisjoint(map(neg, lits)) else None)
+        if fresh and not pending and len(found) == first + 1:
+            whole[raw] = found[-1]
 
     if n < 0:
         raise DimacsError("missing 'p cnf' header", line_no or 1)
     if pending and not ended:
         raise DimacsError("unterminated clause at end of input", line_no)
-    if seen != declared:
-        raise DimacsError(f"header declares {declared} clauses, found {seen}", line_no)
-    return CnfProblem(n, clauses, comments)
+    if len(found) != declared:
+        raise DimacsError(f"header declares {declared} clauses, found {len(found)}", line_no)
+    return CnfProblem(n, [clause for clause in found if clause is not None], comments)
 
 
 def write_dimacs(cnf: CnfProblem, out: IO) -> None:

@@ -146,7 +146,8 @@ class SolverState:
         n: int,
         database: BoxDatabase,
         config: SolverConfig | None = None,
-        on_model: Callable[[Box], None] | None = None,
+        # receives points, or signed-literal tuples once ``run`` installs ``_expand``
+        on_model: Callable[[Box], None] | Callable[[tuple[int, ...]], None] | None = None,
         trace: SweepTrace | None = None,
     ):
         self.config = config or SolverConfig()

@@ -1,6 +1,8 @@
 import contextlib
 import io
+import os
 import random
+import subprocess
 import sys
 from decimal import Decimal
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import boxsat
 from boxsat import Clause, CnfProblem, SolverConfig, write_dimacs
 from boxsat.cli import (
     EXIT_OK,
@@ -156,6 +159,23 @@ class TestEnumerate:
         assert main(["enumerate", str(path)]) == EXIT_OK
         v_lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("v")]
         assert v_lines == ["v -1 -2 -3 0", "v -1 2 -3 0", "v 1 -2 3 0", "v 1 2 3 0"]
+
+    def test_closed_pipe_ends_quietly(self, tmp_path):
+        # 2^16 models are far more than a pipe buffers, so the run is still
+        # writing when the reader goes away, as under ``| head -1``
+        path = tmp_path / "free.cnf"
+        path.write_text("p cnf 16 0\n")
+        src = os.path.dirname(os.path.dirname(boxsat.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "boxsat.cli", "enumerate", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.readline().startswith(b"v ")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == EXIT_USAGE
+        assert stderr == b""
 
 
 class TestDefaults:

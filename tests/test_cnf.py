@@ -298,7 +298,8 @@ def dimacs_int(token: str) -> int:
 
 
 def reference_parse_dimacs(source):
-    """The token-by-token parser the whole-clause fast path must agree with."""
+    """A parser with no token table and no memory of lines, which
+    ``parse_dimacs`` must agree with."""
     n = -1
     declared = -1
     seen = 0
@@ -486,13 +487,34 @@ class TestRepeatedLines:
         assert ok > 400 and shared > 50
 
     def test_repeat_continues_a_pending_clause(self):
-        # the first line teaches the parser its tokens; the second is then
-        # read as one whole clause, and the fourth continues "1 2"
+        # the second line repeats the first, and the fourth continues "1 2"
         cnf = parse_dimacs("p cnf 4 4\n3 4 0\n3 4 0\n1 2\n3 4 0\n3 4 0\n")
         _, whole, joined, again = cnf.clauses
         assert sorted(whole.literals) == [3, 4]
         assert sorted(joined.literals) == [1, 2, 3, 4]
         assert again is whole
+
+    def test_a_line_read_token_by_token_is_remembered(self):
+        cnf = parse_dimacs("p cnf 2 2\n1 2 0\n1 2 0\n")
+        assert cnf.clauses[0] is cnf.clauses[1]
+
+    def test_a_line_of_two_clauses_is_not_remembered(self):
+        cnf = parse_dimacs("p cnf 2 4\n1 0 2 0\n1 0 2 0\n")
+        assert [sorted(c.literals) for c in cnf.clauses] == [[1], [2], [1], [2]]
+        assert len(set(map(id, cnf.clauses))) == 4
+        with pytest.raises(DimacsError, match="declares 2 clauses, found 4"):
+            parse_dimacs("p cnf 2 2\n1 0 2 0\n1 0 2 0\n")
+
+    @pytest.mark.parametrize("text, want", [
+        # "2 0 3" ends the pending "1" and starts "3"; its repeat ends nothing pending
+        ("p cnf 3 4\n1\n2 0 3\n0\n2 0 3\n0\n", [[1, 2], [3], [2], [3]]),
+        # "1 0 2" finishes one clause but leaves "2" pending
+        ("p cnf 2 4\n1 0 2\n0\n1 0 2\n0\n", [[1], [2], [1], [2]]),
+    ])
+    def test_a_line_leaving_or_ending_a_pending_clause_is_not_remembered(self, text, want):
+        cnf = parse_dimacs(text)
+        assert [sorted(c.literals) for c in cnf.clauses] == want
+        assert len(set(map(id, cnf.clauses))) == 4
 
     def test_repeated_tautology_counts_each_time(self):
         cnf = parse_dimacs("p cnf 2 3\n1 -1 0\n1 -1 0\n1 -1 0\n")
