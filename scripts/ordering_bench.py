@@ -10,6 +10,7 @@ Usage: python scripts/ordering_bench.py [instance.cnf] [--ratio 0.45]
 
 import argparse
 import sys
+from dataclasses import replace
 
 from boxsat import SolverConfig, parse_dimacs, run
 from boxsat.benchgen import hidden_solution_blocks
@@ -22,6 +23,10 @@ def main() -> int:
     parser.add_argument("--ratio", type=float, default=0.45)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    try:
+        config = SolverConfig(insertion_ratio=args.ratio)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     if args.instance:
         with open(args.instance) as fh:
@@ -36,7 +41,7 @@ def main() -> int:
     counts = set()
     for name in ORDERING_STRATEGIES:
         try:
-            result = run(cnf, SolverConfig(ordering=name, insertion_ratio=args.ratio))
+            result = run(cnf, replace(config, ordering=name))
         except ValueError as exc:  # grouped-optimal refuses n > 71
             print(f"{name:20}  skipped: {exc}")
             continue

@@ -156,7 +156,8 @@ class BoxDatabase:
 
     The trie keeps its all-λ chain (the root, its slot-40 child, that
     child's slot-40 child, ...) as a list, extended when such a cluster is
-    made, so a hinted ``find_containing`` starts by indexing it.
+    made, so ``find_containing`` can index it to start below the chain
+    clusters that its memo of the last point query says miss.
     """
 
     def __init__(self, n: int, lambda_skip: bool = True):
@@ -181,6 +182,11 @@ class BoxDatabase:
         self._pad = CLUSTER_SPAN * (last + 1) - n
         # per depth, the shift of its 4-bit field in the padded bits
         self._shifts = tuple(range(CLUSTER_SPAN * last, -1, -CLUSTER_SPAN))
+        self._full = ((1 << n) - 1) << self._pad  # a point's padded mask
+        # ``find_containing``'s memo: its last point query (padded bits) and
+        # how many leading chain clusters hold no box containing it
+        self._point = 0
+        self._clear = 0
 
     def __len__(self) -> int:
         return self.box_count
@@ -218,9 +224,12 @@ class BoxDatabase:
     # -- operations ------------------------------------------------------
 
     def insert(self, b: Box) -> None:
-        if self.find_containing(b) is not None:
-            return  # already covered; leave the structure untouched
-        self.add_uncovered(b)
+        # the containment check is not a probe: it leaves the memo as it was
+        memo = self._point, self._clear
+        found = self.find_containing(b)
+        self._point, self._clear = memo
+        if found is None:  # otherwise already covered; leave the structure untouched
+            self.add_uncovered(b)
 
     def add_uncovered(self, b: Box) -> None:
         """Store ``b`` without the containment check ``insert`` makes first.
@@ -257,9 +266,11 @@ class BoxDatabase:
         cluster.boxes_mask |= 1 << _FIELD_RANKS[length][
             ((mask >> shift) & width) << 4 | ((val >> shift) & width)
         ]
+        if not cluster.mask and cluster.depth < self._clear:  # a chain cluster
+            self._clear = cluster.depth
         self.box_count += 1
 
-    def find_containing(self, q: Box, settled: int = 0) -> Box | None:
+    def find_containing(self, q: Box) -> Box | None:
         """Some stored box containing ``q``, or None.
 
         Greedy per cluster: the lowest hit slot, which is the hit with the
@@ -267,15 +278,23 @@ class BoxDatabase:
         scanned in increasing slot order and the first hit found below is
         returned.
 
-        ``settled`` is the caller's promise that no cluster on the all-λ
-        chain (root, its slot-40 child, that child's slot-40 child, ...)
-        lying wholly before position ``settled`` holds a box containing
-        ``q``; the default 0 promises nothing.  The walk hops those
-        clusters without reading their masks and starts at the chain
-        cluster below them; only if nothing is found there does it go back
-        up, deepest first, for their other children.  That is the order the
-        unhinted walk takes, so the result is the same, with fewer clusters
-        visited.
+        The trie remembers its last point query p and how many leading
+        clusters of the all-λ chain (root, its slot-40 child, that child's
+        slot-40 child, ...) hold no box containing p: the hit's depth after
+        a hit on the chain, and every one, including chain clusters not yet
+        made, after a miss or a hit off the chain.  ``add_uncovered`` lowers
+        that count to the depth of any chain cluster it stores into.  A
+        chain cluster's boxes fix only its own four positions, so one that
+        misses p misses every query that fixes no position there to a value
+        p does not.  The walk hops the chain clusters before both the count
+        and the first position where ``q`` fixes a value p does not, without
+        reading their masks, and starts at the chain cluster below them;
+        only if nothing is found there does it go back up, deepest first,
+        for their other children.  The all-λ child has the lowest child
+        slot, so that is the order the unhinted walk takes: the answer is
+        the same, with fewer clusters visited.  A box query is not
+        remembered, since a box its walk misses may still contain a point
+        inside it; ``insert``'s containment check leaves the memo as it was.
         """
         if q.n != self.n:  # ``_check_length``, inline on the sweep's hottest call
             raise BoxError(f"box length {q.n} != database length {self.n}")
@@ -284,11 +303,14 @@ class BoxDatabase:
         box_tab, child_tab = self._tables.box_containers, self._tables.child_containers
         chain = self._chain
         visits = 0
-        # chain clusters hopped: min(max(settled, 0) // 4, len(chain)), without
-        # the min/max calls, which cost more than the rest of a shallow walk's set-up
-        d = settled // CLUSTER_SPAN if settled > 0 else 0
+        # chain clusters hopped: those wholly before the first position where
+        # q fixes a value p does not, capped by the memo's count and the chain
+        d = (self.n + pad - (qm & (qv ^ self._point)).bit_length()) // CLUSTER_SPAN
+        if d > self._clear:
+            d = self._clear
         if d > len(chain):
             d = len(chain)
+        point = qm == self._full
         stack = chain[d:d + 1]
         while True:
             while stack:
@@ -302,6 +324,9 @@ class BoxDatabase:
                 hits = cluster.boxes_mask & box_tab[rank]
                 if hits:
                     self.cluster_visits += visits
+                    if point:  # the chain clusters above a chain hit missed q; off it, all did
+                        self._point = qv
+                        self._clear = len(shifts) if cluster.mask else cluster.depth
                     return self._witness(cluster, (hits & -hits).bit_length() - 1)
                 kids = cluster.children_mask & child_tab[rank]
                 children = cluster.children
@@ -326,6 +351,8 @@ class BoxDatabase:
                     kids ^= 1 << slot
                     stack.append(children[slot])
         self.cluster_visits += visits
+        if point:
+            self._point, self._clear = qv, len(shifts)
         return None
 
     def smallest_containing(self, q: Box) -> Box | None:

@@ -141,10 +141,11 @@ def _int_token(token: str) -> int:
 def parse_dimacs(source: str | bytes | IO) -> CnfProblem:
     """Parse DIMACS CNF text.
 
-    Comment lines are preserved, clauses may span lines, a '%' line ends the
-    clause section (SATLIB convention).  Header fields and literals must be
-    an optional sign followed by ASCII digits; ``-0`` and ``+0`` end a
-    clause as ``0`` does.  Duplicate literals inside a clause are dropped;
+    Comment lines are kept, each as its text after the ``c`` with the
+    whitespace around it stripped.  Clauses may span lines, and a '%' line
+    ends the clause section (SATLIB convention).  Header fields and literals
+    must be an optional sign followed by ASCII digits; ``-0`` and ``+0`` end
+    a clause as ``0`` does.  Duplicate literals inside a clause are dropped;
     tautological clauses (x and -x together) are discarded entirely since
     they reject no assignment, though they still count toward the declared
     clause total.  A header declaring more than ``sys.maxsize - 1``
@@ -236,7 +237,8 @@ def write_dimacs(cnf: CnfProblem, out: IO) -> None:
     """Write ``cnf`` as DIMACS text, each line of each comment as one ``c``
     line: a line end inside a comment would otherwise start a line that is
     no comment.  A carriage return, alone or before a line feed, ends a line
-    too, as a file read in text mode takes it."""
+    too, as a file read in text mode takes it.  ``parse_dimacs`` reads each
+    such line back with its leading and trailing whitespace stripped."""
     for comment in cnf.comments:
         for line in _LINE_END.split(comment):
             out.write(f"c {line}\n")

@@ -11,31 +11,18 @@ cascade's last box covers.  The run ends on one condition: the probe walks
 off the end of the space.  Only the all-λ box carries it there, since any
 other last box ends in F, as the probe does at that position.
 
-Each cache query resumes below the probe's unchanged prefix.  Let c be the
-first position where the next probe differs from this one.  Every box a
-step stores has index at least that of the cascade's last box, which is at
-least c + 1, because the advance's carry stops at or before that box's last
-position; so no step stores a box in a trie cluster lying wholly before c.
-The cache walk searches the all-λ chain (root, slot-40 child, ...) before
-any other child, so it searched and missed every chain cluster above its
-hit's depth; the hit is the cascade's first box, so its index is at least
-c + 1 and it lies at c's cluster or deeper.  A chain cluster's test reads
-only its own four positions, which the next probe keeps.  So none of those
-clusters holds a box containing the next probe either, and the step passes
-c to ``find_containing`` as ``settled``; by induction this also covers the
-clusters an earlier walk hopped.
-
-The database read, ``smallest_containing``, resumes through its own memo
-of its last walk (see ``BoxDatabase.smallest_containing``), so it needs no
-``settled``-style promise.
+Each cache query hops the all-λ chain clusters that the cache's last point
+query missed and this probe cannot fall into (see
+``BoxDatabase.find_containing``), and the database read,
+``smallest_containing``, resumes through its own memo of its last walk.
 
 The step's box arithmetic runs on ints through the ``boxes`` functions,
 but the calls a traced run wraps by name, and whose counts it divides by,
-take and give ``Box``es: the cache's ``find_containing`` (``settled`` passed
-positionally) and ``insert``, ``gate_passes`` once per resolvent,
-``resolve_cascade`` and the module-level ``advance``.  It wraps the
-database's ``all_containing`` too, which the sweep never calls.  ``left``,
-``probe`` and ``SweepTrace`` hold ``Box``es too.
+take and give ``Box``es: the cache's ``find_containing`` and ``insert``,
+``gate_passes`` once per resolvent, ``resolve_cascade`` and the
+module-level ``advance``.  It wraps the database's ``all_containing`` too,
+which the sweep never calls.  ``left``, ``probe`` and ``SweepTrace`` hold
+``Box``es too.
 
 Resolved boxes enter the cache only when their λ fraction reaches the
 configured insertion ratio; caching everything bloats the trie faster than
@@ -170,9 +157,6 @@ class SolverState:
         self.timed_out = False
         self.deadline: float | None = None  # set by run_loop
         self.iterations = 0
-        # the cache walk's ``settled``: the probe's leading positions whose
-        # all-λ chain clusters hold no box containing it
-        self._settled = 0
 
     @property
     def done(self) -> bool:
@@ -252,8 +236,7 @@ class SolverState:
             return False
         p = self.probe
         source = "cache"
-        # positional, so a wrapper forwarding ``*args`` passes it on
-        b = self.cache.find_containing(p, self._settled)
+        b = self.cache.find_containing(p)
         if b is None:
             # the smallest-index hit advances the probe furthest; it is the
             # one worth caching
@@ -281,8 +264,6 @@ class SolverState:
         if nxt is None:
             self.covered = True
         else:
-            # the first position where the next probe differs
-            self._settled = self.n - (p.val ^ nxt.val).bit_length()
             self.probe = nxt
         self.iterations += 1
         if self.trace is not None:

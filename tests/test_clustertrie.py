@@ -4,7 +4,7 @@ import pytest
 
 from boxsat import Box, BoxDatabase, build_lookup_tables
 from boxsat.boxes import SUBBOX_RANKS, BoxError, Trit, rank_to_trits
-from boxsat.clustertrie import _FIELD_RANKS, _SLOT_LENGTH, CHILD_SLOT_LOW
+from boxsat.clustertrie import _FIELD_RANKS, _SLOT_LENGTH, CHILD_SLOT_LOW, CLUSTER_SPAN
 from boxsat.oracle import linear_containing
 
 from conftest import random_box
@@ -430,80 +430,6 @@ class TestDifferential:
                 full = db.all_containing(q, include_shadowed=True)
                 assert sorted(map(repr, full)) == sorted(map(repr, lin))
 
-    def test_settled_hop_matches_the_full_walk(self):
-        rng = random.Random(98)
-        hopped = 0
-        for trial in range(240):
-            n = 1 + trial % 40
-            db, stored = self.build(rng, n, lambda_skip=bool(trial % 3))
-            # boxes behind a λ prefix of random length lengthen the all-λ chain
-            for _ in range(rng.randint(0, 12)):
-                keep = (1 << rng.randint(1, n)) - 1
-                b = random_box(rng, n, lambda_weight=rng.choice((1, 2, 4)))
-                b = Box(n, b.mask & keep, b.val & keep)
-                if not any(s.contains(b) for s in stored):
-                    stored.append(b)
-                db.insert(b)
-            for q in self.queries(rng, n, stored):
-                # depth of the first all-λ-chain cluster holding a box that
-                # contains q: a chain box at depth d fixes nothing before 4d
-                first = n
-                for b in linear_containing(stored, q):
-                    d = max(b.index - 1, 0) // 4
-                    if not b.mask >> (n - 4 * d):
-                        first = min(first, d)
-                db.cluster_visits = 0
-                want = db.find_containing(q)
-                full_visits = db.cluster_visits
-                for settled in range(min(n, 4 * first + 3) + 1):
-                    db.cluster_visits = 0
-                    assert db.find_containing(q, settled) == want, (q, settled)
-                    assert db.cluster_visits <= full_visits
-                    hopped += db.cluster_visits < full_visits
-        assert hopped > 1000
-
-    def test_settled_hop_while_the_chain_grows(self):
-        # inserts and hinted walks interleave, so the all-λ chain gains
-        # clusters between queries; settled runs past both ends of its range
-        rng = random.Random(99)
-        hopped = past_chain = 0
-        for trial in range(120):
-            n = 1 + trial % 40
-            db = BoxDatabase(n, lambda_skip=bool(trial % 3))
-            stored = []
-            for _ in range(3):
-                for _ in range(rng.randint(0, 8)):
-                    keep = (1 << rng.randint(1, n)) - 1 if rng.random() < 0.6 else -1
-                    b = random_box(rng, n, lambda_weight=rng.choice((1, 2, 4)))
-                    b = Box(n, b.mask & keep, b.val & keep)
-                    if not any(s.contains(b) for s in stored):
-                        stored.append(b)
-                    db.insert(b)
-                chain = [db.root]
-                while CHILD_SLOT_LOW in chain[-1].children:
-                    chain.append(chain[-1].children[CHILD_SLOT_LOW])
-                assert db._chain == chain
-                for q in self.queries(rng, n, stored):
-                    lin = linear_containing(stored, q)
-                    first = None  # depth of the first chain cluster holding a hit
-                    for b in lin:
-                        d = max(b.index - 1, 0) // 4
-                        if not b.mask >> (n - 4 * d):
-                            first = d if first is None else min(first, d)
-                    db.cluster_visits = 0
-                    want = db.find_containing(q)
-                    full_visits = db.cluster_visits
-                    assert (want is None) == (not lin)
-                    for settled in range(-3, n + 9):
-                        if first is not None and max(settled, 0) // 4 > first:
-                            continue  # the promise does not hold
-                        db.cluster_visits = 0
-                        assert db.find_containing(q, settled) == want, (q, settled)
-                        assert db.cluster_visits <= full_visits
-                        hopped += db.cluster_visits < full_visits
-                        past_chain += max(settled, 0) // 4 >= len(chain)
-        assert hopped > 1000 and past_chain > 1000
-
     def test_all_lambda_box_sits_in_root_slot_0(self):
         for n in range(10):
             db = BoxDatabase(n)
@@ -511,21 +437,6 @@ class TestDifferential:
             assert db.dump() == "0:0"
             assert len(db) == 1
             assert db.max_index == 0
-
-    def test_hop_returns_to_the_hopped_clusters_other_children(self):
-        for skip in (True, False):
-            db = BoxDatabase(12, lambda_skip=skip)
-            side, chain = B("F---TTTT----"), B("----F--F----")
-            db.insert(side)
-            db.insert(chain)
-            q = B("FFFFTTTTFFFF")
-            assert db.find_containing(q) == side
-            # settled 4 hops the root, 8 the chain's depth-1 cluster too,
-            # and the chain ends there
-            for settled in (4, 8, 12):
-                db.cluster_visits = 0
-                assert db.find_containing(q, settled) == side
-                assert db.cluster_visits == (1 if settled < 8 else 0) + 2
 
     def test_smallest_ties_go_to_walk_order(self):
         # both boxes have index 5 and contain the probe; the walk reaches
@@ -554,6 +465,175 @@ class TestDifferential:
             assert db.smallest_containing(Box.point(n, 0)) is None
             db.insert(Box.all_lambda(n))
             assert db.smallest_containing(Box.point(n, 0)) == Box.all_lambda(n)
+
+
+def slot40_chain(db: BoxDatabase) -> list:
+    """The all-λ chain found by descending slot-40 children from the root."""
+    chain = [db.root]
+    while CHILD_SLOT_LOW in chain[-1].children:
+        chain.append(chain[-1].children[CHILD_SLOT_LOW])
+    return chain
+
+
+def forgetful_find(db: BoxDatabase, q: Box):
+    """``db``'s answer and cluster visits for ``q`` with its memo cleared,
+    and the memo that walk leaves; ``db``'s own memo is left as it was."""
+    memo = db._point, db._clear
+    db._clear = 0
+    before = db.cluster_visits
+    got = db.find_containing(q)
+    visits = db.cluster_visits - before
+    left = db._point, db._clear
+    db._point, db._clear = memo
+    return got, visits, left
+
+
+class TestChainMemo:
+    """``find_containing`` hops the all-λ chain clusters its memo of the last
+    point query says miss; every answer is the walk's from the root."""
+
+    def near_point(self, rng, p: Box) -> Box:
+        """A point sharing a prefix of random length with ``p``, as a
+        sweep's next probe does."""
+        n = p.n
+        rest = n - rng.randint(0, n)
+        return Box.point(n, p.val >> rest << rest | rng.getrandbits(rest))
+
+    def around(self, rng, p: Box) -> Box:
+        """A box holding ``p``, as a resolvent does; often with a λ prefix."""
+        mask = p.mask & rng.getrandbits(p.n)
+        if rng.random() < 0.5:
+            mask &= (1 << rng.randint(0, p.n)) - 1
+        return Box(p.n, mask, p.val & mask)
+
+    def chain_box(self, rng, p: Box) -> Box:
+        """A box fixing positions of one cluster only, so it is stored on the
+        all-λ chain; it holds ``p`` unless one value is flipped."""
+        n = p.n
+        first = CLUSTER_SPAN * rng.randrange((n + CLUSTER_SPAN - 1) // CLUSTER_SPAN)
+        field = min(CLUSTER_SPAN, n - first)
+        mask = rng.randrange(1, 1 << field) << (n - first - field)
+        val = p.val & mask
+        if rng.random() < 0.3:
+            val ^= mask & -mask
+        return Box(n, mask, val)
+
+    def new_box(self, rng, p: Box) -> Box:
+        pick = rng.random()
+        if pick < 0.4:
+            return self.chain_box(rng, p)
+        if pick < 0.7:
+            return self.around(rng, p)
+        if pick < 0.8:
+            return self.near_point(rng, p)
+        return random_box(rng, p.n, lambda_weight=rng.choice((1, 2, 4, 8)))
+
+    def query(self, db, stored, q: Box) -> tuple[int, int]:
+        """Check one query against the forgetful walk and the linear scan;
+        returns (visits, visits with the memo cleared)."""
+        want, full_visits, left = forgetful_find(db, q)
+        memo = db._point, db._clear
+        before = db.cluster_visits
+        got = db.find_containing(q)
+        visits = db.cluster_visits - before
+        assert got == want, q
+        lin = linear_containing(stored, q)
+        assert (got is None) == (not lin)
+        assert got is None or got in lin
+        assert visits <= full_visits
+        if q.mask == (1 << q.n) - 1:
+            assert (db._point, db._clear) == left
+        else:  # a box query is not remembered
+            assert (db._point, db._clear) == memo
+        return visits, full_visits
+
+    def test_interleaved_queries_and_stores(self):
+        rng = random.Random(23)
+        hopped = memo_moves = 0
+        cases = [(rng.randint(1, 200), 60) for _ in range(150)] + [(1999, 25)]
+        for trial, (n, steps) in enumerate(cases):
+            db = BoxDatabase(n, lambda_skip=bool(trial % 3))
+            stored: list[Box] = []
+            p = last = Box.point(n, 0)
+            for _ in range(steps):
+                op = rng.random()
+                if op < 0.35:  # a point query
+                    pick = rng.random()
+                    if pick < 0.5:
+                        q = self.near_point(rng, p)
+                    elif pick < 0.65:  # the last box query's values, F elsewhere
+                        q = Box.point(n, last.val)
+                    elif stored and pick < 0.85:
+                        q = specialise(rng, rng.choice(stored), point=True)
+                    else:
+                        q = Box.point(n, rng.getrandbits(n))
+                    p = q
+                    visits, full_visits = self.query(db, stored, q)
+                    hopped += visits < full_visits
+                elif op < 0.55:  # a box query
+                    if rng.random() < 0.5:
+                        q = self.around(rng, p)
+                    elif stored and rng.random() < 0.5:
+                        q = specialise(rng, rng.choice(stored), point=False)
+                    else:
+                        q = random_box(rng, n)
+                    last = q
+                    self.query(db, stored, q)
+                else:  # a store
+                    b = self.new_box(rng, p)
+                    covered = any(s.contains(b) for s in stored)
+                    memo = db._point, db._clear
+                    size = len(db)
+                    if op < 0.8 or covered:
+                        db.insert(b)
+                    else:
+                        db.add_uncovered(b)
+                    assert len(db) == size + (not covered)
+                    if not covered:
+                        stored.append(b)
+                    # a containment check leaves the memo; only a store
+                    # into a chain cluster lowers its count
+                    assert db._point == memo[0]
+                    assert db._clear <= memo[1]
+                    if covered:
+                        assert db._clear == memo[1]
+                    memo_moves += db._clear < memo[1]
+                    assert db._chain == slot40_chain(db)
+        assert hopped > 800 and memo_moves > 400
+
+    def test_hop_returns_to_the_hopped_clusters_other_children(self):
+        side, chain = B("F---TTTT----"), B("----F--F----")
+        q = B("FFFFTTTTFFFF")
+        for skip in (True, False):
+            db = BoxDatabase(12, lambda_skip=skip)
+            db.insert(side)
+            db.insert(chain)
+            # (query, answer, visits): the chain box at depth 1 holds the
+            # first point, so the next hops the root only; that one's hit is
+            # off the chain, so its repeat hops the depth-1 cluster too, and
+            # the chain ends there
+            for point, want, visits in [
+                (B("FFFFFFFFFFFF"), chain, 2),
+                (q, side, 3),
+                (q, side, 2),
+                (B("TFFFFFFFFFFF"), chain, 2),
+            ]:
+                db.cluster_visits = 0
+                assert db.find_containing(point) == want
+                assert db.cluster_visits == visits
+                assert forgetful_find(db, point)[:2] == (want, 3 if want is side else 2)
+
+    def test_a_store_on_the_chain_is_found_at_once(self):
+        # after a miss every chain cluster is known to miss, so a box stored
+        # on the chain has to lower that count for the next query to see it
+        db = BoxDatabase(8)
+        p = B("FFFFFFFF")
+        assert db.find_containing(p) is None
+        db.add_uncovered(B("F-------"))
+        assert db.find_containing(p) == B("F-------")
+        db.insert(B("----FF--"))
+        assert db.find_containing(p) == B("F-------")
+        assert db.find_containing(B("TFFFFFFF")) == B("----FF--")
 
 
 class TestLevelWalk:

@@ -163,6 +163,12 @@ class TestParse:
             assert again.comments == lines + ["last"]
             assert [c.literals for c in again.clauses] == [c.literals for c in cnf.clauses]
 
+    def test_comment_whitespace_is_stripped_on_the_way_back(self):
+        cnf = CnfProblem(1, [Clause([1])], ["  indented", "tab\there "])
+        buf = io.StringIO()
+        write_dimacs(cnf, buf)
+        assert parse_dimacs(buf.getvalue()).comments == ["indented", "tab\there"]
+
 
 class TestClauseBox:
     def test_paper_conversions(self):

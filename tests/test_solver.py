@@ -414,28 +414,35 @@ class TestSweepInvariants:
         assert silent.done
 
 
-def checked_sweep(cnf: CnfProblem, config: SolverConfig) -> tuple[SolverState, list[int]]:
-    """A sweep whose every hinted cache walk is checked against the
-    unhinted one; the list collects each walk's ``settled``.  The hint is
-    positional only, as a wrapper forwarding ``*args`` needs it."""
+class ForgetfulCache(BoxDatabase):
+    """Walks every ``find_containing`` query, ``insert``'s too, from the root."""
+
+    def find_containing(self, q: Box) -> Box | None:
+        self._clear = 0
+        return super().find_containing(q)
+
+
+def memo_and_forgetful_sweeps(cnf: CnfProblem, config: SolverConfig) -> tuple[SolverState, SolverState]:
+    """The same sweep with the cache's chain memo and with a cache that
+    forgets before every query; both must take the same steps."""
     order = build_order(cnf, config.ordering)
-    db = build_database(cnf, order, lambda_skip=config.lambda_skip)
-    state = SolverState(cnf.variable_count, db, config)
-    cache, walk = state.cache, state.cache.find_containing
-    hints: list[int] = []
-
-    def checked(q: Box, settled: int = 0, /):
-        before = cache.cluster_visits
-        got = walk(q, settled)
-        hinted = cache.cluster_visits
-        assert got == walk(q), (q, settled)
-        assert hinted - before <= cache.cluster_visits - hinted
-        hints.append(settled)
-        return got
-
-    cache.find_containing = checked
-    state.run_loop()
-    return state, hints
+    n = cnf.variable_count
+    states = []
+    for forget in (False, True):
+        db = build_database(cnf, order, lambda_skip=config.lambda_skip)
+        state = SolverState(n, db, config, trace=SweepTrace())
+        if forget:
+            state.cache = ForgetfulCache(n, lambda_skip=config.lambda_skip)
+        state.run_loop()
+        states.append(state)
+    got, want = states
+    assert got.trace.steps == want.trace.steps
+    assert got.trace.cache_inserts == want.trace.cache_inserts
+    assert got.cache.dump() == want.cache.dump()
+    assert got.model_count == want.model_count
+    assert got.iterations == want.iterations
+    assert got.cache.cluster_visits <= want.cache.cluster_visits
+    return got, want
 
 
 def block_count(cnf: CnfProblem, groups: list[list[int]]) -> int:
@@ -453,7 +460,7 @@ def block_count(cnf: CnfProblem, groups: list[list[int]]) -> int:
 class TestChainHop:
     def test_random_formulas(self):
         rng = random.Random(83)
-        deep = 0
+        fewer = 0
         for _ in range(12):
             cnf = random_cnf(rng, rng.randint(1, 14), rng.randint(0, 30), width_hi=4)
             want = brute_count(cnf)
@@ -461,20 +468,20 @@ class TestChainHop:
                 for ratio in (0.0, 0.45, 1.0):
                     for skip in (True, False):
                         config = SolverConfig(insertion_ratio=ratio, ordering=name, lambda_skip=skip)
-                        state, hints = checked_sweep(cnf, config)
-                        assert state.model_count == want, (name, ratio, skip)
-                        deep += sum(h >= 4 for h in hints)
-        assert deep > 1000
+                        got, forgot = memo_and_forgetful_sweeps(cnf, config)
+                        assert got.model_count == want, (name, ratio, skip)
+                        fewer += got.cache.cluster_visits < forgot.cache.cluster_visits
+        assert fewer > 100
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_hidden_solution_blocks(self, seed):
         cnf, groups = hidden_solution_blocks(seed=seed)
         want = block_count(cnf, groups)
         for skip in (True, False):
-            state, hints = checked_sweep(cnf, SolverConfig(lambda_skip=skip))
-            assert state.model_count == want
-            # most walks hop most of the 16-level chain
-            assert sum(hints) / len(hints) > 24
+            got, forgot = memo_and_forgetful_sweeps(cnf, SolverConfig(lambda_skip=skip))
+            assert got.model_count == want
+            # hops over the 16-level all-λ chain more than halve the cache visits
+            assert 2 * got.cache.cluster_visits < forgot.cache.cluster_visits
 
 
 class ForgetfulDatabase(BoxDatabase):
