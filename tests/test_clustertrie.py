@@ -430,6 +430,74 @@ class TestDifferential:
                 full = db.all_containing(q, include_shadowed=True)
                 assert sorted(map(repr, full)) == sorted(map(repr, lin))
 
+    def test_settled_hop_matches_the_full_walk(self):
+        rng = random.Random(98)
+        hopped = 0
+        for trial in range(240):
+            n = 1 + trial % 40
+            db, stored = self.build(rng, n, lambda_skip=bool(trial % 3))
+            # boxes behind a λ prefix of random length lengthen the all-λ chain
+            for _ in range(rng.randint(0, 12)):
+                keep = (1 << rng.randint(1, n)) - 1
+                b = random_box(rng, n, lambda_weight=rng.choice((1, 2, 4)))
+                b = Box(n, b.mask & keep, b.val & keep)
+                if not any(s.contains(b) for s in stored):
+                    stored.append(b)
+                db.insert(b)
+            for q in self.queries(rng, n, stored):
+                # depth of the first all-λ-chain cluster holding a box that
+                # contains q: a chain box at depth d fixes nothing before 4d
+                first = n
+                for b in linear_containing(stored, q):
+                    d = max(b.index - 1, 0) // 4
+                    if not b.mask >> (n - 4 * d):
+                        first = min(first, d)
+                want, full_visits, _ = forgetful_find(db, q)
+                for settled in range(min(n, 4 * first + 3) + 1):
+                    got, visits = settled_find(db, q, settled)
+                    assert got == want, (q, settled)
+                    assert visits <= full_visits
+                    hopped += visits < full_visits
+        assert hopped > 1000
+
+    def test_settled_hop_while_the_chain_grows(self):
+        # inserts and hopped walks interleave, so the all-λ chain gains
+        # clusters between queries; settled runs past both ends of its range
+        rng = random.Random(99)
+        hopped = past_chain = 0
+        for trial in range(120):
+            n = 1 + trial % 40
+            db = BoxDatabase(n, lambda_skip=bool(trial % 3))
+            stored = []
+            for _ in range(3):
+                for _ in range(rng.randint(0, 8)):
+                    keep = (1 << rng.randint(1, n)) - 1 if rng.random() < 0.6 else -1
+                    b = random_box(rng, n, lambda_weight=rng.choice((1, 2, 4)))
+                    b = Box(n, b.mask & keep, b.val & keep)
+                    if not any(s.contains(b) for s in stored):
+                        stored.append(b)
+                    db.insert(b)
+                chain = slot40_chain(db)
+                assert db._chain == chain
+                for q in self.queries(rng, n, stored):
+                    lin = linear_containing(stored, q)
+                    first = None  # depth of the first chain cluster holding a hit
+                    for b in lin:
+                        d = max(b.index - 1, 0) // 4
+                        if not b.mask >> (n - 4 * d):
+                            first = d if first is None else min(first, d)
+                    want, full_visits, _ = forgetful_find(db, q)
+                    assert (want is None) == (not lin)
+                    for settled in range(-3, n + 9):
+                        if first is not None and max(settled, 0) // 4 > first:
+                            continue  # the memo would be wrong
+                        got, visits = settled_find(db, q, settled)
+                        assert got == want, (q, settled)
+                        assert visits <= full_visits
+                        hopped += visits < full_visits
+                        past_chain += max(settled, 0) // 4 >= len(chain)
+        assert hopped > 1000 and past_chain > 1000
+
     def test_all_lambda_box_sits_in_root_slot_0(self):
         for n in range(10):
             db = BoxDatabase(n)
@@ -486,6 +554,19 @@ def forgetful_find(db: BoxDatabase, q: Box):
     left = db._point, db._clear
     db._point, db._clear = memo
     return got, visits, left
+
+
+def settled_find(db: BoxDatabase, q: Box, settled: int) -> tuple:
+    """``db``'s answer and cluster visits for ``q`` with its memo set to say
+    that the all-λ chain clusters wholly before position ``settled`` miss
+    ``q``; ``db``'s own memo is left as it was."""
+    memo = db._point, db._clear
+    db._point, db._clear = q.val << db._pad, max(settled, 0) // CLUSTER_SPAN
+    before = db.cluster_visits
+    got = db.find_containing(q)
+    visits = db.cluster_visits - before
+    db._point, db._clear = memo
+    return got, visits
 
 
 class TestChainMemo:
