@@ -7,7 +7,14 @@ its own process, then prints every metric whose unit is ``count``, plus
 checkouts whose sweeps do the same work print the same digest, so comparing
 it before and after a change shows whether any count moved.
 
+With ``--expect SHA256`` it exits 1 when the digest differs and names the
+first metric that differs.  Each run keeps its counts in the temporary
+directory under their digest, so a digest printed by an earlier run, of
+this or any other checkout, finds the counts to compare with; with no such
+record the mismatch names no metric.
+
 Usage: python scripts/trace_counts.py [--seed 21] [--workload blocks ...]
+                                      [--expect SHA256]
 """
 
 import argparse
@@ -15,10 +22,12 @@ import hashlib
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("triangles", "blocks", "models")
+RECORDS = Path(tempfile.gettempdir()) / "boxsat-trace-counts"
 
 
 def traced_counts(workload: str, seed: int) -> dict[str, float]:
@@ -39,6 +48,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=21)
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="repeat to pick several (default: all)")
+    parser.add_argument("--expect", metavar="SHA256",
+                        help="exit 1 unless the digest equals this one")
     args = parser.parse_args()
     counts = {}
     for workload in args.workload or WORKLOADS:
@@ -51,7 +62,28 @@ def main() -> int:
             print(f"{workload:10} {name:40} {value:g}")
     digest = hashlib.sha256(json.dumps(counts, sort_keys=True).encode()).hexdigest()
     print(f"sha256 {digest}")
-    return 0
+    RECORDS.mkdir(exist_ok=True)
+    (RECORDS / f"{digest}.json").write_text(json.dumps(counts, sort_keys=True))
+    if args.expect is None or args.expect == digest:
+        return 0
+    print(f"error: digest differs from {args.expect}; {first_difference(counts, args.expect)}",
+          file=sys.stderr)
+    return 1
+
+
+def first_difference(counts: dict[str, dict[str, float]], expected: str) -> str:
+    """The first metric, in printed order, whose value differs from the run
+    recorded under the ``expected`` digest."""
+    try:
+        want = json.loads((RECORDS / f"{expected}.json").read_text())
+    except (OSError, ValueError):
+        return f"no record of its counts in {RECORDS}"
+    got = {(w, name): v for w, metrics in counts.items() for name, v in metrics.items()}
+    was = {(w, name): v for w, metrics in want.items() for name, v in metrics.items()}
+    for key in [*got, *sorted(was.keys() - got.keys())]:
+        if got.get(key) != was.get(key):
+            return f"first differing metric {' '.join(key)}: {got.get(key)}, expected {was.get(key)}"
+    return "no metric differs"
 
 
 if __name__ == "__main__":

@@ -49,7 +49,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="boxsat", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_solve(name: str, help_text: str):
+    def add_cnf_command(name: str, help_text: str):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help="DIMACS CNF file, or - for stdin")
         p.add_argument(
@@ -57,6 +57,10 @@ def build_parser() -> _Parser:
             default=SolverConfig.ordering,
             choices=sorted(ORDERING_STRATEGIES),
         )
+        return p
+
+    def add_solve(name: str, help_text: str):
+        p = add_cnf_command(name, help_text)
         p.add_argument("--insertion-ratio", type=float, default=SolverConfig.insertion_ratio)
         p.add_argument("--no-lambda-skip", action="store_true")
         p.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
@@ -77,13 +81,7 @@ def build_parser() -> _Parser:
     gen.add_argument("--out", default="-", help="output CNF path (default stdout)")
     gen.add_argument("--max-vars", type=int, default=64)
 
-    stats = sub.add_parser("stats", help="print instance statistics")
-    stats.add_argument("input", help="DIMACS CNF file, or - for stdin")
-    stats.add_argument(
-        "--ordering",
-        default=SolverConfig.ordering,
-        choices=sorted(ORDERING_STRATEGIES),
-    )
+    add_cnf_command("stats", "print instance statistics")
     return parser
 
 

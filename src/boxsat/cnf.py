@@ -12,10 +12,11 @@ import io
 import re
 import sys
 from dataclasses import dataclass, field
-from operator import neg
-from typing import IO, Collection, Iterable, Iterator
+from itertools import product
+from operator import itemgetter, neg
+from typing import IO, Callable, Collection, Iterable, Iterator
 
-from .boxes import Box, Trit
+from .boxes import Box
 
 
 _LINE_END = re.compile(r"\r\n?|\n")
@@ -62,6 +63,8 @@ class CnfProblem:
     comments: list[str] = field(default_factory=list)
 
     def __post_init__(self):
+        if self.variable_count < 0:
+            raise ValueError(f"negative variable count {self.variable_count}")
         # Clause already rejects 0, so the extremes bound every |literal|
         if lits := frozenset().union(*[cl.literals for cl in self.clauses]):
             n, low, high = self.variable_count, min(lits), max(lits)
@@ -247,21 +250,36 @@ def write_dimacs(cnf: CnfProblem, out: IO) -> None:
         out.write(" ".join(map(str, cl)) + " 0\n")
 
 
+def _positions(order: VariableOrder, n: int) -> list[int]:
+    """``order``'s 1-based position of each variable (index 0 unused):
+    variable v sits at bit n - position[v] of a length-``n`` box.
+
+    Raises ValueError unless the order has exactly ``n`` variables.
+    """
+    if order.n != n:
+        raise ValueError(f"an order of {order.n} variables does not fit a box of {n}")
+    return order._position
+
+
 def clause_boxes(
     literal_sets: Collection[frozenset[int]], n: int, order: VariableOrder
 ) -> Iterator[Box]:
     """The box of each literal set in turn, tautologies skipped: they
-    reject no assignment, so no box stands for them.
+    reject no assignment, so no box stands for them.  A literal outside
+    1..n raises ValueError.
 
     One table, built once from the literals that occur, gives each literal's
     bit in a box's mask and in its val; a box is then two sums over it.  A
     variable appearing twice (a tautology) adds its mask bit twice, which
     carries, so the sum holds fewer set bits than the set has literals.
     """
+    position = _positions(order, n)
     mask_bit: dict[int, int] = {}
     val_bit: dict[int, int] = {}
     for lit in frozenset().union(*literal_sets):
-        bit = 1 << (n - order.position_of(abs(lit)))
+        if not 0 < abs(lit) <= n:
+            raise ValueError(f"literal {lit} out of range 1..{n}")
+        bit = 1 << (n - position[abs(lit)])
         mask_bit[lit] = bit
         val_bit[lit] = bit if lit < 0 else 0
     mask_of, val_of = mask_bit.__getitem__, val_bit.__getitem__
@@ -280,20 +298,45 @@ def clause_to_box(clause: Clause, n: int, order: VariableOrder) -> Box:
 
 def box_to_clause(box: Box, order: VariableOrder) -> Clause:
     """Inverse of :func:`clause_to_box` (round-trips every clause)."""
-    lits = []
-    for i in range(box.n):
-        t = box.trit(i)
-        if t is Trit.LAMBDA:
-            continue
-        v = order.variable_at(i + 1)
-        lits.append(-v if t is Trit.TRUE else v)
-    return Clause(lits)
+    n, mask, val, position = box.n, box.mask, box.val, _positions(order, box.n)
+    shifts = ((v, n - position[v]) for v in range(1, n + 1))
+    return Clause([-v if val >> s & 1 else v for v, s in shifts if mask >> s & 1])
 
 
 def point_to_literals(point: Box, order: VariableOrder) -> tuple[int, ...]:
     """Signed literals of a full point, in original variable numbering."""
     if not point.is_point:
         raise ValueError("not a full point")
-    # variable v sits at 1-based position p, which is bit n - p of the point
-    n, val, position = point.n, point.val, order._position
+    n, val, position = point.n, point.val, _positions(order, point.n)
     return tuple([v if (val >> (n - position[v])) & 1 else -v for v in range(1, n + 1)])
+
+
+def literal_models(order: VariableOrder) -> Callable[[Box], Iterator[tuple[int, ...]]]:
+    """Expansion of a model box into its models, as signed-literal tuples
+    in original variable numbering and in sweep order.
+
+    A model box fixes every position up to its index and is λ after it.
+    Each box's prefix literals are read from its own bits once; its tail's
+    literal combinations follow in sweep order (F before T, last position
+    fastest), and each tuple is mapped from position order back to variable
+    order.  A box of another length than the order, or with a λ before its
+    index, raises ValueError.
+    """
+    seq = order.as_sequence()
+    n = len(seq)
+    tails = [(-v, v) for v in seq]
+    # position order back to variable order; with n < 2 they coincide, and
+    # itemgetter would need at least two indices to return a tuple
+    get = itemgetter(*[p - 1 for p in _positions(order, n)[1:]]) if n > 1 else tuple
+
+    def expand(m: Box) -> Iterator[tuple[int, ...]]:
+        _positions(order, m.n)  # refuses a box of another length
+        k = m.index
+        if m.mask.bit_count() != k:
+            raise ValueError(f"not a model box: a λ before its index {k}")
+        # the prefix's k bits as binary digits; the leading 1 keeps its zeros
+        bits = bin(m.val >> (n - k) | 1 << k)[3:]
+        head = tuple([v if b == "1" else -v for v, b in zip(seq, bits)])
+        return map(get, map(head.__add__, product(*tails[k:])))
+
+    return expand

@@ -39,9 +39,11 @@ only if it contains the probe, and the probe missed them all.  Every box
 the sweep handles has index at most n - f, so every advance clears the last
 f bits and every probe is the first point of its M.
 
-``run`` streams each model box as signed-literal tuples from one template:
-the box's n - f prefix literals, computed once, plus each of the tail's 2^f
-literal combinations in sweep order, mapped back to variable order.
+``run`` streams each model box as signed-literal tuples through
+``cnf.literal_models``, whose template is each box's own prefix: the
+literals it fixes up to its index, read once, plus each of its λ tail's
+literal combinations in sweep order, mapped back to variable order.  So
+``step`` alone decides how wide a model box is.
 """
 
 from __future__ import annotations
@@ -49,13 +51,12 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice, product
-from operator import itemgetter
+from itertools import islice
 from typing import Callable, Iterator
 
 from .boxes import Box, BoxError, carry, contains, last_fixed, tail_resolvent
 from .clustertrie import BoxDatabase
-from .cnf import CnfProblem, VariableOrder, clause_boxes
+from .cnf import CnfProblem, VariableOrder, clause_boxes, literal_models
 from .ordering import build_order
 
 
@@ -316,26 +317,6 @@ def build_database(
     return db
 
 
-def _literal_models(order: VariableOrder, fixed: int) -> Callable[[Box], Iterator[tuple[int, ...]]]:
-    """Expansion of a model box, whose positions past ``fixed`` are all λ,
-    into its models as signed-literal tuples in sweep order."""
-    seq = order.as_sequence()
-    n = len(seq)
-    prefix = [(v, 1 << (n - 1 - i)) for i, v in enumerate(seq[:fixed])]
-    # F before T, last position fastest: the tail's points in sweep order
-    tail = [(-v, v) for v in seq[fixed:]]
-    # position order back to variable order; with n < 2 they coincide, and
-    # itemgetter would need at least two indices to return a tuple
-    get = itemgetter(*[order.position_of(v) - 1 for v in range(1, n + 1)]) if n > 1 else tuple
-
-    def expand(m: Box) -> Iterator[tuple[int, ...]]:
-        val = m.val
-        head = tuple([v if val & bit else -v for v, bit in prefix])
-        return map(get, map(head.__add__, product(*tail)))
-
-    return expand
-
-
 def run(
     cnf: CnfProblem,
     config: SolverConfig | None = None,
@@ -359,7 +340,7 @@ def run(
     t1 = time.perf_counter()
     state = SolverState(cnf.variable_count, database, config, on_model=on_model)
     if state.on_model is not None:
-        state._expand = _literal_models(order, database.max_index)
+        state._expand = literal_models(order)
     timed_out = state.run_loop(deadline)
     run_seconds = time.perf_counter() - t1
 

@@ -19,7 +19,7 @@ from boxsat import (
     write_dimacs,
 )
 from boxsat.boxes import Trit
-from boxsat.cnf import _text_lines, point_to_literals
+from boxsat.cnf import _text_lines, clause_boxes, literal_models, point_to_literals
 
 from conftest import point_of_assignment, satisfies
 
@@ -269,7 +269,56 @@ class TestPointToLiterals:
             point_to_literals(B("T-"), VariableOrder.identity(2))
 
 
+class TestOrderFit:
+    """Every box<->literal conversion refuses an order over another number
+    of variables than the box has, and a literal outside 1..n."""
+
+    box = B("TF-T")  # n = 4, and the clause it stands for under identity
+    clause = Clause([-1, 2, -4])
+    point = B("TFFT")
+    model_box = B("TFF-")
+
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_order_one_shorter_or_longer(self, size):
+        order = VariableOrder.identity(size)
+        for convert in (
+            lambda: clause_to_box(self.clause, 4, order),
+            lambda: list(clause_boxes([self.clause.literals], 4, order)),
+            lambda: box_to_clause(self.box, order),
+            lambda: point_to_literals(self.point, order),
+            lambda: literal_models(order)(self.model_box),
+        ):
+            with pytest.raises(ValueError, match=f"order of {size} variables does not fit"):
+                convert()
+
+    def test_the_fitting_order_converts(self):
+        order = VariableOrder([4, 2, 3, 1])
+        box = clause_to_box(self.clause, 4, order)
+        assert box == B("TF-T")
+        assert list(clause_boxes([self.clause.literals], 4, order)) == [box]
+        assert box_to_clause(box, order) == self.clause
+        assert point_to_literals(self.point, order) == (1, -2, -3, 4)
+        assert list(literal_models(order)(self.model_box)) == [(-1, -2, -3, 4), (1, -2, -3, 4)]
+
+    @pytest.mark.parametrize("lit", [5, -5, 0])
+    def test_literal_outside_1_to_n(self, lit):
+        order = VariableOrder.identity(4)
+        with pytest.raises(ValueError, match=rf"^literal {lit} out of range 1\.\.4$"):
+            list(clause_boxes([frozenset([1, lit])], 4, order))
+        if lit:
+            with pytest.raises(ValueError, match=rf"^literal {lit} out of range 1\.\.4$"):
+                clause_to_box(Clause([lit]), 4, order)
+
+    def test_model_box_with_a_lambda_before_its_index(self):
+        with pytest.raises(ValueError, match="not a model box"):
+            literal_models(VariableOrder.identity(4))(B("T-FT"))
+
+
 class TestCnfProblem:
+    def test_rejects_negative_variable_count(self):
+        with pytest.raises(ValueError, match="^negative variable count -1$"):
+            CnfProblem(-1, [])
+
     def test_rejects_out_of_range_literal(self):
         with pytest.raises(ValueError):
             CnfProblem(1, [Clause([2])])

@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -658,6 +658,52 @@ class TestLiteralStreaming:
         assert result.timed_out
         assert 0 < result.count == len(result.models) < 1 << 29
         assert len(set(result.models)) == result.count
+
+
+class TestLiteralModels:
+    """``cnf.literal_models(order)`` reads each model box's width from the
+    box itself: one expansion serves every width."""
+
+    @staticmethod
+    def check_every_width(order: VariableOrder, rng: random.Random) -> None:
+        from boxsat.cnf import literal_models, point_to_literals
+
+        n = order.n
+        expand = literal_models(order)
+        state = SolverState(n, BoxDatabase(n))
+        for k in rng.sample(range(n + 1), n + 1):  # widths in random order
+            m = Box(n, ((1 << k) - 1) << (n - k), rng.getrandbits(k) << (n - k))
+            # the whole expansion when it is small, else its first 512 models
+            size = min(1 << (n - k), 512)
+            got = list(islice(expand(m), size + 1))
+            want = [point_to_literals(p, order) for p in islice(state._points(m), size)]
+            assert got[:size] == want
+            assert len(got) == (size + 1 if n - k > 9 else size)
+
+    def test_random_orders(self):
+        rng = random.Random(24)
+        for n in [*range(0, 21), *rng.choices(range(0, 21), k=20)]:
+            self.check_every_width(VariableOrder(rng.sample(range(1, n + 1), n)), rng)
+
+    def test_wide_order(self):
+        rng = random.Random(64)
+        for n in (64, 65, 97):
+            self.check_every_width(VariableOrder(rng.sample(range(1, n + 1), n)), rng)
+
+    def test_building_the_expansion_stays_small(self):
+        import tracemalloc
+
+        from boxsat.cnf import literal_models
+
+        order = VariableOrder.identity(20000)
+        tracemalloc.start()
+        try:
+            expand = literal_models(order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert next(expand(Box.point(20000, 1))) == (*range(-1, -20000, -1), 20000)
 
 
 def reference_clause_box(clause: Clause, n: int, order: VariableOrder) -> Box:
