@@ -123,11 +123,7 @@ def bits_per_vertex(vertex_count: int) -> int:
     return max(1, (vertex_count - 1).bit_length())
 
 
-def generate_cnf(
-    graph: InputGraph,
-    query: GraphQuerySpec,
-    max_variables: int = 64,
-) -> CnfProblem:
+def generate_cnf(graph: InputGraph, query: GraphQuerySpec) -> CnfProblem:
     """Encode the query over ``graph`` as CNF whose model count equals the
     number of matches."""
     v_count = graph.vertex_count
@@ -136,10 +132,6 @@ def generate_cnf(
     bits = bits_per_vertex(v_count)
     k = query.size
     n = k * bits
-    if n > max_variables:
-        raise GenerationError(
-            f"query needs {n} variables, above the cap of {max_variables}"
-        )
 
     codes = [
         [

@@ -79,7 +79,6 @@ def build_parser() -> _Parser:
     gen.add_argument("--query", required=True, choices=["clique", "path"])
     gen.add_argument("--size", required=True, type=int, metavar="K")
     gen.add_argument("--out", default="-", help="output CNF path (default stdout)")
-    gen.add_argument("--max-vars", type=int, default=64)
 
     add_cnf_command("stats", "print instance statistics")
     return parser
@@ -128,7 +127,7 @@ def _cmd_gen(args) -> int:
     with _open_input(args.input) as fh:
         graph = read_edge_list(fh)
     query = GraphQuerySpec(args.query, args.size)
-    cnf = generate_cnf(graph, query, max_variables=args.max_vars)
+    cnf = generate_cnf(graph, query)
     if args.out == "-":
         write_dimacs(cnf, sys.stdout)
     else:

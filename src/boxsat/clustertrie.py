@@ -138,9 +138,11 @@ class BoxDatabase:
     ``insert`` is a no-op when some stored box already contains the new one
     (the containment short-circuit); the reverse direction is *not* checked,
     so a newly inserted box may coexist with boxes it subsumes.
-    ``add_uncovered`` stores a box the caller already knows to be uncovered,
-    skipping that check's walk.  ``max_index`` is the largest index of any
-    stored box: no stored box fixes a position after it.
+    ``add_uncovered`` skips that check's walk, so a box it stores may lie
+    inside another stored box as well.  Either way a box equal to a stored
+    one is stored once, and ``len`` counts the boxes ``boxes()`` yields.
+    ``max_index`` is the largest index of any stored box: no stored box
+    fixes a position after it.
 
     Each cluster carries its own depth and path bits, so nothing is
     computed per push.  ``find_containing`` and ``all_containing`` pop
@@ -234,14 +236,12 @@ class BoxDatabase:
     def add_uncovered(self, b: Box) -> None:
         """Store ``b`` without the containment check ``insert`` makes first.
 
-        The caller must know that no stored box contains ``b``; otherwise
-        the trie would hold a redundant box.
+        ``b`` may lie inside a stored box: the trie then holds a box it does
+        not need, and every query still answers with a stored box.  A box
+        equal to a stored one finds its slot bit set and changes nothing.
         """
         self._check_length(b)
-        self._levels = None  # the trie changes: drop the level walk's memo
         k = b.index
-        if k > self.max_index:
-            self.max_index = k
         # the all-λ box (k = 0) has an empty field, which ranks to root slot 0
         terminal = max(0, k - 1) // CLUSTER_SPAN
         pad, shifts, ranks = self._pad, self._shifts, _FIELD_RANKS[CLUSTER_SPAN]
@@ -263,9 +263,13 @@ class BoxDatabase:
         length = k - CLUSTER_SPAN * terminal
         shift = self.n + pad - k
         width = (1 << length) - 1
-        cluster.boxes_mask |= 1 << _FIELD_RANKS[length][
-            ((mask >> shift) & width) << 4 | ((val >> shift) & width)
-        ]
+        bit = 1 << _FIELD_RANKS[length][((mask >> shift) & width) << 4 | ((val >> shift) & width)]
+        if cluster.boxes_mask & bit:  # stored before, which lowered ``_clear`` then
+            return
+        self._levels = None  # the trie changes: drop the level walk's memo
+        if k > self.max_index:
+            self.max_index = k
+        cluster.boxes_mask |= bit
         if not cluster.mask and cluster.depth < self._clear:  # a chain cluster
             self._clear = cluster.depth
         self.box_count += 1

@@ -96,12 +96,6 @@ class VariableOrder:
     def identity(cls, n: int) -> "VariableOrder":
         return cls(range(1, n + 1))
 
-    def position_of(self, variable: int) -> int:
-        return self._position[variable]
-
-    def variable_at(self, position: int) -> int:
-        return self._variable[position - 1]
-
     def as_sequence(self) -> tuple[int, ...]:
         return tuple(self._variable)
 

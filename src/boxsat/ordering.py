@@ -88,7 +88,6 @@ def order_grouped_heuristic(cnf: CnfProblem) -> VariableOrder:
         near.setdefault(v, {})[u] = w
     variables = range(1, cnf.variable_count + 1)
     free = [v for v in variables if not degree[v]]
-    spare = iter(free)  # no free variable is taken while a clause one is left
     remaining = {v for v in variables if degree[v]}
     out: list[int] = []
     while remaining and len(remaining) + len(free) >= 4:
@@ -98,8 +97,7 @@ def order_grouped_heuristic(cnf: CnfProblem) -> VariableOrder:
         closeness: dict[int, int] = {}  # scaled closeness to the group so far
         for _ in range(3):
             if not remaining:
-                group.append(next(spare))
-                continue
+                break  # the free variables fill the group's rest
             for u, w in near.get(group[-1], {}).items():
                 closeness[u] = closeness.get(u, 0) + w
             best = min(remaining, key=lambda v: (-closeness.get(v, 0), -degree[v], v))
@@ -107,57 +105,68 @@ def order_grouped_heuristic(cnf: CnfProblem) -> VariableOrder:
             remaining.discard(best)
         out.extend(group)
     out.extend(_degree_descent(remaining, stats))
-    out.extend(spare)
+    out.extend(free)
     return VariableOrder(out)
 
 
-# grouped-optimal holds every 4-subset of the variables at once, with its
-# sort key.  The cap admits n <= 71; there the ordering peaks 125-145 MB
-# above the rest of the process.
+# grouped-optimal holds every 4-subset of the clause variables at once, with
+# its sort key.  The cap admits up to 71 clause variables; there the ordering
+# peaks 125-145 MB above the rest of the process.
 MAX_GROUP_SUBSETS = 1_000_000
 
 
 def order_grouped_optimal(cnf: CnfProblem) -> VariableOrder:
-    """Exhaustive grouping: among all 4-subsets of the remaining variables,
-    repeatedly take the one with maximal interconnectedness (ties: larger
-    degree sum, then lexicographically smaller variable tuple).
+    """Exhaustive grouping: among all 4-subsets of the remaining clause
+    variables, repeatedly take the one with maximal interconnectedness
+    (ties: larger degree sum, then lexicographically smaller variable tuple).
+    The variables in no clause follow, in increasing order.
 
     A subset's key never changes and subsets only drop out, so each round's
     choice is the first subset of one descending sort whose variables are
     all still ungrouped; the sort is stable over ``combinations``'
     lexicographic order, which breaks the ties.  It holds every 4-subset in
     memory at once, so it raises ``ValueError`` when there are more than
-    ``MAX_GROUP_SUBSETS`` of them.
+    ``MAX_GROUP_SUBSETS`` of them.  Counting the free variables too would
+    change no group: a subset with a free variable has a strictly smaller
+    key than one with a clause variable in its place.
     """
-    n = cnf.variable_count
-    subsets = math.comb(n, 4)
+    stats = compute_stats(cnf)
+    degree = stats.degree
+    variables = range(1, cnf.variable_count + 1)
+    clause_vars = [v for v in variables if degree[v]]
+    m = len(clause_vars)
+    subsets = math.comb(m, 4)
     if subsets > MAX_GROUP_SUBSETS:
         raise ValueError(
-            f"grouped-optimal needs all C({n}, 4) = {subsets:,} 4-subsets of the "
-            f"variables, above its cap of {MAX_GROUP_SUBSETS:,}; choose another ordering"
+            f"grouped-optimal needs all C({m}, 4) = {subsets:,} 4-subsets of the "
+            f"clause variables, above its cap of {MAX_GROUP_SUBSETS:,}; "
+            "choose another ordering"
         )
-    stats = compute_stats(cnf)
-    theta = [[0] * (n + 1) for _ in range(n + 1)]
+    # the tables run over the clause variables' indices, which keep their
+    # order, so they stay small however many free variables there are
+    index = {v: i for i, v in enumerate(clause_vars)}
+    theta = [[0] * m for _ in range(m)]
     for (u, v), w in stats.scaled_closeness().items():
-        theta[u][v] = theta[v][u] = w
-    degree = stats.degree
+        theta[index[u]][index[v]] = theta[index[v]][index[u]] = w
+    deg = [degree[v] for v in clause_vars]
     above = 4 * max(degree) + 1  # exceeds every degree sum
 
     def key(group: tuple[int, ...]) -> int:
         a, b, c, d = group
         ta, tb = theta[a], theta[b]
         together = ta[b] + ta[c] + ta[d] + tb[c] + tb[d] + theta[c][d]
-        return together * above + degree[a] + degree[b] + degree[c] + degree[d]
+        return together * above + deg[a] + deg[b] + deg[c] + deg[d]
 
     grouped: set[int] = set()
     out: list[int] = []
-    for group in sorted(combinations(range(1, n + 1), 4), key=key, reverse=True):
+    for group in sorted(combinations(range(m), 4), key=key, reverse=True):
         if grouped.isdisjoint(group):
             grouped.update(group)
-            out.extend(_degree_descent(group, stats))
-            if len(grouped) + 4 > n:
-                break  # too few ungrouped variables left for another group
-    out.extend(_degree_descent((v for v in range(1, n + 1) if v not in grouped), stats))
+            out.extend(_degree_descent((clause_vars[i] for i in group), stats))
+            if len(grouped) + 4 > m:
+                break  # too few ungrouped clause variables left for another group
+    out.extend(_degree_descent((v for i, v in enumerate(clause_vars) if i not in grouped), stats))
+    out.extend(v for v in variables if not degree[v])
     return VariableOrder(out)
 
 

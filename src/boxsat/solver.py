@@ -18,15 +18,20 @@ query missed and this probe cannot fall into (see
 
 The step's box arithmetic runs on ints through the ``boxes`` functions,
 but the calls a traced run wraps by name, and whose counts it divides by,
-take and give ``Box``es: the cache's ``find_containing`` and ``insert``,
+take and give ``Box``es: the cache's ``find_containing``,
 ``gate_passes`` once per resolvent, ``resolve_cascade`` and the
-module-level ``advance``.  It wraps the database's ``all_containing`` too,
-which the sweep never calls.  ``left``, ``probe`` and ``SweepTrace`` hold
-``Box``es too.
+module-level ``advance``.  It wraps the cache's ``insert`` and the
+database's ``all_containing`` too, which the sweep never calls.  ``left``,
+``probe`` and ``SweepTrace`` hold ``Box``es too.
 
 Resolved boxes enter the cache only when their λ fraction reaches the
 configured insertion ratio; caching everything bloats the trie faster than
-it saves probe work.
+it saves probe work.  Every box the sweep caches is stored by
+``add_uncovered``, with no containment walk first.  A database or model box
+holds the probe that the cache just missed, so no cache box contains it.  A
+resolvent may lie inside a cache box already; storing it anyway costs at
+most a redundant box, and every answer stays sound, since every point in it
+is already settled.
 
 Free-tail widening: let f be the number of trailing positions that no
 stored clause box fixes (n minus the database's largest box index; the
@@ -170,12 +175,7 @@ class SolverState:
     def _cache_insert(self, box: Box, source: str) -> None:
         if self.trace is not None:
             self.trace.cache_inserts.append((box, source))
-        if source == "resolution":
-            self.cache.insert(box)
-        else:
-            # the probe missed the cache, and this box holds the probe, so no
-            # cache box can contain it
-            self.cache.add_uncovered(box)
+        self.cache.add_uncovered(box)
 
     def resolve_cascade(self, b: Box) -> Box:
         """Feed the just-processed box through the pending-resolution slots.

@@ -51,8 +51,8 @@ def test_timed_and_traced_solves_agree_with_the_oracle(name):
     exact = layers.exact_counts(recorder, [traced])
     # run.py refuses a traced pass whose steps differ from the timed solve's
     assert exact["solver.steps"] == result.iterations
-    # one cache walk per step plus one per resolvent insert, so the cache's
-    # containment checks stay in the visits-per-query ratio
+    # one cache walk per step; the sweep stores every cached box without a
+    # containment walk, so the wrapped ``insert`` is never called and adds 0
     assert exact["clustertrie.find_containing.calls"] == (
         result.iterations + exact["clustertrie.insert.calls"])
     rates = layers.replay([traced])

@@ -219,9 +219,12 @@ class TestGenerateCnf:
         cnf = generate_cnf(g, GraphQuerySpec("path", 2))
         assert run(cnf).count == 1
 
-    def test_variable_cap_refusal(self):
-        with pytest.raises(GenerationError, match="cap"):
-            generate_cnf(fig10(), GraphQuerySpec("clique", 3), max_variables=5)
+    def test_more_than_64_variables(self):
+        # one bit per slot: a 66-vertex path over one edge alternates 0 and 1
+        cnf = generate_cnf(read_edge_list("0 1\n"), GraphQuerySpec("path", 66))
+        assert cnf.variable_count == 66
+        model = [v if v % 2 == 0 else -v for v in range(1, 67)]  # slot 0 holds 0
+        assert all(any(l in model for l in c.literals) for c in cnf.clauses)
 
     def test_tiny_graph_rejected(self):
         with pytest.raises(GenerationError):

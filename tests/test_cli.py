@@ -206,14 +206,22 @@ class TestUsageErrors:
         assert main(["gen", fig10_path, "--query", "path", "--size", "1"]) == EXIT_USAGE
 
     def test_grouped_optimal_over_the_cap(self, tmp_path, capsys):
-        # n = 72 is the first size over the cap
+        # 72 clause variables is the first size over the cap
         path = tmp_path / "wide.cnf"
-        path.write_text("p cnf 72 1\n1 2 0\n")
+        path.write_text("p cnf 72 1\n" + " ".join(map(str, range(1, 73))) + " 0\n")
         assert main(["count", str(path), "--ordering", "grouped-optimal"]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("error: grouped-optimal needs all C(72, 4) = 1,028,790 ")
+        assert err.startswith("error: grouped-optimal needs all C(72, 4) = 1,028,790 "
+                              "4-subsets of the clause variables")
         assert "cap of 1,000,000" in err
         assert "Traceback" not in err
+
+    def test_grouped_optimal_counts_free_variables_past_the_cap(self, tmp_path, capsys):
+        # C(100, 4) is over the cap, but only the two clause variables are grouped
+        path = tmp_path / "padded.cnf"
+        path.write_text("p cnf 100 1\n1 2 0\n")
+        assert main(["count", str(path), "--ordering", "grouped-optimal"]) == EXIT_OK
+        assert f"s MODELS {3 * 2**98}\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("seconds", ["nan", "-1"])
     def test_timeout_not_a_duration(self, example1_path, capsys, seconds):
@@ -335,11 +343,13 @@ class TestGen:
         out = capsys.readouterr().out
         assert out.startswith("c query path size=2\n") or "p cnf" in out
 
-    def test_gen_respects_cap(self, fig10_path):
-        code = main(
-            ["gen", fig10_path, "--query", "clique", "--size", "3", "--max-vars", "4"]
-        )
-        assert code == EXIT_USAGE
+    def test_gen_refuses_a_one_vertex_graph(self, tmp_path, capsys):
+        # a self-loop names one vertex and adds no edge
+        path = tmp_path / "loop.txt"
+        path.write_text("0 0\n")
+        assert main(["gen", str(path), "--query", "path", "--size", "2"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: graph needs at least 2 vertices\n"
 
 
 class TestStats:

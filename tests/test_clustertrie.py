@@ -130,6 +130,29 @@ class TestInsert:
                 stored = [box.index for box in unchecked.boxes()]
                 assert unchecked.max_index == checked.max_index == max(stored, default=0)
 
+    def test_add_uncovered_stores_an_equal_box_once(self):
+        # the second store of a box finds its slot bit set and changes nothing
+        rng = random.Random(25)
+        for n in (1, 4, 9, 17):
+            db = BoxDatabase(n)
+            for _ in range(30):
+                b = random_box(rng, n)
+                db.add_uncovered(b)
+                once = (len(db), db.dump(), db.max_index)
+                db.add_uncovered(b)
+                assert (len(db), db.dump(), db.max_index) == once
+                assert len(db) == len(list(db.boxes()))
+
+    def test_add_uncovered_keeps_a_box_inside_another(self):
+        db = BoxDatabase(3)
+        db.add_uncovered(B("F--"))
+        db.add_uncovered(B("FF-"))  # inside F--, stored all the same
+        assert sorted(map(repr, db.boxes())) == ["Box('F--')", "Box('FF-')"]
+        assert len(db) == 2
+        for bits in range(8):
+            q = Box.point(3, bits)
+            assert (db.find_containing(q) is None) == (not linear_containing([B("F--")], q))
+
     def test_deep_box_creates_path(self):
         db = BoxDatabase(8)
         db.insert(B("FTFT" "TF--"))

@@ -77,6 +77,20 @@ class TestGroupedOptimal:
     def test_example1_degenerates_to_degree_descent(self):
         assert order_grouped_optimal(EXAMPLE1).as_sequence() == (2, 1, 3)
 
+    def test_tables_grow_with_the_clause_variables_only(self):
+        # a table over every variable would hold 3001² entries, about 72 MB
+        import tracemalloc
+
+        problem = cnf(3000, [1, 2], [-2, 3000])
+        tracemalloc.start()
+        try:
+            order = order_grouped_optimal(problem).as_sequence()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert order == (2, 1, 3000, *range(3, 3000))
+
     def test_scan_and_vectorized_agree(self):
         rng = random.Random(77)
         problems = [random_cnf(rng, rng.randint(5, 12), rng.randint(3, 25)) for _ in range(12)]
@@ -329,8 +343,8 @@ class TestStrategiesOwnTheFreeTail:
                 seq = strategy(problem).as_sequence()
                 assert seq[len(used):] == free, name
                 assert build_order(problem, name).as_sequence() == seq, name
-        # grouped-optimal groups free variables only once fewer than four
-        # clause variables are left, so every remainder must occur
+        # the clause variables left over after the last group of four come
+        # before the free ones, so every remainder must occur
         assert residues == {0, 1, 2, 3}
 
 

@@ -304,6 +304,7 @@ class TestSweepInvariants:
             config = SolverConfig(insertion_ratio=0.45, mode="enumerate")
             state, trace, order, db = self.drive(cnf, config)
             stored_in_db = set(map(repr, db.boxes()))
+            position = {v: pos for pos, v in enumerate(order.as_sequence())}
             seen_inserts = 0
             counted: set[str] = set()
             while True:
@@ -325,10 +326,7 @@ class TestSweepInvariants:
                         if box.contains(point):
                             sat = all(
                                 any(
-                                    (
-                                        point.trit(order.position_of(abs(l)) - 1)
-                                        is Trit.TRUE
-                                    )
+                                    (point.trit(position[abs(l)]) is Trit.TRUE)
                                     == (l > 0)
                                     for l in c.literals
                                 )
@@ -415,7 +413,7 @@ class TestSweepInvariants:
 
 
 class ForgetfulCache(BoxDatabase):
-    """Walks every ``find_containing`` query, ``insert``'s too, from the root."""
+    """Walks every ``find_containing`` query from the root."""
 
     def find_containing(self, q: Box) -> Box | None:
         self._clear = 0
@@ -443,6 +441,70 @@ def memo_and_forgetful_sweeps(cnf: CnfProblem, config: SolverConfig) -> tuple[So
     assert got.iterations == want.iterations
     assert got.cache.cluster_visits <= want.cache.cluster_visits
     return got, want
+
+
+class WalklessCache(BoxDatabase):
+    """A sweep cache that fails on ``insert``.  For each box it stores, it
+    notes whether a stored box already contained it and how many models
+    the sweep had counted by then."""
+
+    def __init__(self, n: int, lambda_skip: bool, counted: list[Box]):
+        super().__init__(n, lambda_skip=lambda_skip)
+        self.counted = counted  # the sweep's retained model points, in order
+        self.stored: list[tuple[Box, bool, int]] = []
+
+    def insert(self, b: Box) -> None:
+        raise AssertionError("the sweep stores every cached box through add_uncovered")
+
+    def add_uncovered(self, b: Box) -> None:
+        inside = any(s.contains(b) for s, _, _ in self.stored)
+        self.stored.append((b, inside, len(self.counted)))
+        super().add_uncovered(b)
+
+
+def clause_mix_cnf(rng: random.Random, n: int) -> CnfProblem:
+    """Acceptance criterion 2's clause mix: 1.2n to 3.5n clauses, mostly
+    of width 2 and 3."""
+    low = int(n * 1.2)
+    clauses = []
+    for _ in range(rng.randint(low, max(low + 1, int(n * 3.5)))):
+        width = min(rng.choice((1, 2, 2, 3, 3, 3, 4, 5)), n)
+        clauses.append(Clause(v if rng.random() < 0.5 else -v
+                              for v in rng.sample(range(1, n + 1), width)))
+    return CnfProblem(n, clauses)
+
+
+class TestCacheStore:
+    def test_covered_resolvents_change_no_count(self):
+        # the sweep stores a resolvent that a cache box already contains
+        rng = random.Random(25)
+        covered = 0
+        for _ in range(16):
+            cnf = clause_mix_cnf(rng, rng.randint(4, 12))
+            want = brute_count(cnf)
+            n = cnf.variable_count
+            for name in ORDERING_STRATEGIES:
+                order = build_order(cnf, name)
+                for skip in (True, False):
+                    db = build_database(cnf, order, lambda_skip=skip)
+                    for ratio in (0.0, 0.45, 1.0):
+                        config = SolverConfig(insertion_ratio=ratio, ordering=name,
+                                              lambda_skip=skip, mode="enumerate")
+                        state = SolverState(n, db, config, trace=SweepTrace())
+                        cache = state.cache = WalklessCache(n, skip, state.models)
+                        state.run_loop()
+                        assert state.model_count == want, (name, ratio, skip)
+                        assert len(cache) == len(list(cache.boxes()))
+                        models = [p.val for p in state.models]
+                        sources = [source for _, source in state.trace.cache_inserts]
+                        assert len(sources) == len(cache.stored)
+                        for (box, inside, k), source in zip(cache.stored, sources):
+                            # only a resolvent can lie inside a cache box, and
+                            # every model in a cached box is counted first
+                            assert not inside or source == "resolution"
+                            covered += inside
+                            assert all((v & box.mask) != box.val for v in models[k:])
+        assert covered > 0
 
 
 def block_count(cnf: CnfProblem, groups: list[list[int]]) -> int:
@@ -708,9 +770,10 @@ class TestLiteralModels:
 
 def reference_clause_box(clause: Clause, n: int, order: VariableOrder) -> Box:
     """A clause's box built literal by literal."""
+    position = {v: pos for pos, v in enumerate(order.as_sequence(), 1)}
     mask = val = 0
     for lit in clause.literals:
-        bit = 1 << (n - order.position_of(abs(lit)))
+        bit = 1 << (n - position[abs(lit)])
         mask |= bit
         if lit < 0:
             val |= bit
