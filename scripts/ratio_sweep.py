@@ -5,9 +5,8 @@ Builds a 3-clique query over a random sparse graph (about 10^4 clauses),
 then times the solver across a grid of insertion ratios.  The count must be
 identical everywhere; the interesting part is the step and runtime curve.
 On the default instance (18 variables, 10,767 clauses) every ratio from 0.0
-to 0.35 takes the fewest steps, 9,147; 0.45 and 0.55 take 12,435 and 15,998
-at about the same runtime, and 0.75 to 1.0 take 56,525 to 64,652 steps and
-about three times as long.
+to 0.45 takes the fewest steps, 1,472; 0.55 takes 1,474, and 0.75 to 1.0
+take 1,917 to 2,181 steps, all at about the same runtime.
 
 Usage: python scripts/ratio_sweep.py [--vertices 50] [--edges 100]
 """

@@ -54,10 +54,10 @@ literal combinations in sweep order, mapped back to variable order.  So
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .boxes import Box, BoxError, carry, contains, last_fixed, tail_resolvent
 from .clustertrie import BoxDatabase
@@ -290,30 +290,85 @@ class SolverState:
         return self.timed_out
 
 
+def _merge_siblings(boxes: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """One pairing pass over the (mask, val) boxes ``boxes``, pivot positions
+    last to first: at each pivot, every two boxes with the same mask that fix
+    the pivot and differ only there become one box with the pivot λ.  A
+    merged box joins its new mask group, so it may merge again at an earlier
+    pivot.  Returns the distinct boxes left, sorted by fixed count, then
+    mask, then val.
+
+    A box only ever moves to a mask with one fixed position fewer, so each
+    mask group is run through its own pivots, last first, once every group
+    with more fixed positions is done: nothing joins it after that.  Each
+    box joins its group with the lowest pivot bit it may merge at: 1 for an
+    input box, twice its pivot for a merged one, since the pass reaches the
+    group's later pivots only.
+    """
+    inputs: dict[int, list[int]] = defaultdict(list)
+    for m, v in boxes:
+        inputs[m].append(v)
+    # mask -> {lowest pivot bit: vals}
+    groups: dict[int, dict[int, list[int]]] = {m: {1: vals} for m, vals in inputs.items()}
+    levels: dict[int, list[int]] = {}  # fixed count -> its masks
+    for m in groups:
+        levels.setdefault(m.bit_count(), []).append(m)
+    left = []
+    for k in range(max(levels, default=0), -1, -1):
+        for m in levels.get(k, ()):
+            joins = groups.pop(m)
+            live = set(joins.pop(1, ()))
+            later = sorted(joins.items(), reverse=True)  # the next to join last
+            rest = m
+            while rest and (len(live) > 1 or later):
+                pivot = rest & -rest
+                rest ^= pivot
+                while later and later[-1][0] <= pivot:
+                    live.update(later.pop()[1])
+                for v in [v for v in live if not v & pivot and v | pivot in live]:
+                    live -= {v, v | pivot}
+                    target = groups.get(m ^ pivot)
+                    if target is None:
+                        target = groups[m ^ pivot] = {}
+                        levels.setdefault(k - 1, []).append(m ^ pivot)
+                    target.setdefault(pivot << 1, []).append(v)
+            for _, vals in later:
+                live.update(vals)
+            left.extend((m, v) for v in live)
+    return sorted(left, key=lambda mv: (mv[0].bit_count(), mv[0], mv[1]))
+
+
 def build_database(
     cnf: CnfProblem, order: VariableOrder, lambda_skip: bool = True
 ) -> BoxDatabase:
-    """The clause database: each clause's box inserted in clause order.
+    """The clause database, merged before it is stored.
 
-    Equal literal sets give equal boxes, and inserting a box already stored
-    changes nothing, so each set is converted and inserted once.  A box
-    fixing no more positions than the fewest any earlier box fixes is stored
-    by ``add_uncovered``, skipping ``insert``'s containment walk: a box that
-    contains a different box fixes a strict subset of its positions, and
-    distinct non-tautological literal sets give distinct boxes.  So the
-    stored boxes, the trie and ``max_index`` are those of one ``insert`` per
-    clause; only ``cluster_visits`` counts fewer visits.
+    The distinct clause boxes go through one sibling-merge pass (see
+    ``_merge_siblings``, the pairing step of Quine–McCluskey): two boxes
+    with the same mask that differ only at one position become one box with
+    that position λ.  The merged boxes are then stored in increasing
+    fixed-count order.  Those fixing the fewest positions are stored by
+    ``add_uncovered``: a box containing a different box fixes a strict
+    subset of its positions, so none of them lies inside another.  Every
+    other box goes through ``insert``, which skips a box that a stored box
+    contains.  So the stored set is the merged boxes that no other merged
+    box contains.
+
+    The union of the boxes is the clauses' union, so every count is the
+    same as one box per clause.  The stored set depends only on the set of
+    distinct clauses, not on their order or repeats, and ``max_index`` is
+    at most that of the unmerged boxes.
     """
     n = cnf.variable_count
     db = BoxDatabase(n, lambda_skip=lambda_skip)
-    fewest = n + 1  # fewest fixed positions of any box handled so far
-    for box in clause_boxes(dict.fromkeys(cl.literals for cl in cnf.clauses), n, order):
-        fixed = box.mask.bit_count()
-        if fixed <= fewest:
-            fewest = fixed
-            db.add_uncovered(box)
+    distinct = clause_boxes({cl.literals for cl in cnf.clauses}, n, order)
+    merged = _merge_siblings((b.mask, b.val) for b in distinct)
+    fewest = merged[0][0].bit_count() if merged else 0
+    for m, v in merged:
+        if m.bit_count() == fewest:
+            db.add_uncovered(Box(n, m, v))
         else:
-            db.insert(box)
+            db.insert(Box(n, m, v))
     return db
 
 

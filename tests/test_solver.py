@@ -420,14 +420,17 @@ class ForgetfulCache(BoxDatabase):
         return super().find_containing(q)
 
 
-def memo_and_forgetful_sweeps(cnf: CnfProblem, config: SolverConfig) -> tuple[SolverState, SolverState]:
-    """The same sweep with the cache's chain memo and with a cache that
-    forgets before every query; both must take the same steps."""
+def memo_and_forgetful_sweeps(
+    cnf: CnfProblem, config: SolverConfig, build=build_database
+) -> tuple[SolverState, SolverState]:
+    """The same sweep over the database ``build`` makes, with the cache's
+    chain memo and with a cache that forgets before every query; both must
+    take the same steps."""
     order = build_order(cnf, config.ordering)
     n = cnf.variable_count
     states = []
     for forget in (False, True):
-        db = build_database(cnf, order, lambda_skip=config.lambda_skip)
+        db = build(cnf, order, lambda_skip=config.lambda_skip)
         state = SolverState(n, db, config, trace=SweepTrace())
         if forget:
             state.cache = ForgetfulCache(n, lambda_skip=config.lambda_skip)
@@ -521,6 +524,10 @@ def block_count(cnf: CnfProblem, groups: list[list[int]]) -> int:
 
 class TestChainHop:
     def test_random_formulas(self):
+        """The hop is a property of the cache walk, so its coverage is
+        counted over sweeps of the unmerged per-clause database, where more
+        of these formulas need it; the merged database's sweeps must agree
+        with the forgetful cache too."""
         rng = random.Random(83)
         fewer = 0
         for _ in range(12):
@@ -530,9 +537,11 @@ class TestChainHop:
                 for ratio in (0.0, 0.45, 1.0):
                     for skip in (True, False):
                         config = SolverConfig(insertion_ratio=ratio, ordering=name, lambda_skip=skip)
-                        got, forgot = memo_and_forgetful_sweeps(cnf, config)
+                        got, forgot = memo_and_forgetful_sweeps(cnf, config, per_clause_database)
                         assert got.model_count == want, (name, ratio, skip)
                         fewer += got.cache.cluster_visits < forgot.cache.cluster_visits
+                        got, _ = memo_and_forgetful_sweeps(cnf, config)
+                        assert got.model_count == want, (name, ratio, skip)
         assert fewer > 100
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -544,6 +553,41 @@ class TestChainHop:
             assert got.model_count == want
             # hops over the 16-level all-λ chain more than halve the cache visits
             assert 2 * got.cache.cluster_visits < forgot.cache.cluster_visits
+
+
+class TestMergedDatabaseDifferential:
+    def test_counts_and_models_match_the_oracle(self):
+        """Random formulas with clause widths 1 to 8 under every ordering,
+        λ-skip setting and three insertion ratios: counts equal
+        ``brute_count`` and enumerated points, streamed in increasing sweep
+        order, are ``brute_models``."""
+        from boxsat.cnf import point_to_literals
+
+        rng = random.Random(0xD1FF)
+        runs = 0
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            cnf = random_cnf(rng, n, rng.randint(0, 4 * n), width_hi=rng.randint(1, 8))
+            want_count, want_models = brute_count(cnf), sorted(brute_models(cnf))
+            for name in ORDERING_STRATEGIES:
+                order = build_order(cnf, name)
+                for skip in (True, False):
+                    db = build_database(cnf, order, lambda_skip=skip)
+                    for ratio in (0.0, 0.45, 1.0):
+                        config = SolverConfig(insertion_ratio=ratio, ordering=name, lambda_skip=skip)
+                        counted = SolverState(n, db, config)
+                        counted.run_loop()
+                        assert counted.model_count == want_count, (name, skip, ratio)
+                        points = []
+                        enumerate_config = SolverConfig(insertion_ratio=ratio, ordering=name,
+                                                        lambda_skip=skip, mode="enumerate")
+                        SolverState(n, db, enumerate_config, on_model=points.append).run_loop()
+                        ranks = [p.val for p in points]
+                        assert ranks == sorted(set(ranks)), (name, skip, ratio)
+                        got = sorted(point_to_literals(p, order) for p in points)
+                        assert got == want_models, (name, skip, ratio)
+                        runs += 1
+        assert runs == 200 * len(ORDERING_STRATEGIES) * 2 * 3
 
 
 class ForgetfulDatabase(BoxDatabase):
@@ -806,17 +850,54 @@ def mixed_width_clauses(rng: random.Random, n: int, m: int) -> list[Clause]:
     return clauses
 
 
+def reference_merge(boxes: set[Box], n: int) -> set[Box]:
+    """The sibling-merge pass by plain sets: at each pivot, last position
+    first, every two boxes with the same mask that fix the pivot and differ
+    only there become one box with the pivot λ, joining the set before the
+    next pivot."""
+    boxes = set(boxes)
+    for bit in (1 << i for i in range(n)):
+        pairs = [b for b in boxes if b.mask & bit and not b.val & bit
+                 and Box(n, b.mask, b.val | bit) in boxes]
+        for b in pairs:
+            boxes -= {b, Box(n, b.mask, b.val | bit)}
+        boxes |= {Box(n, b.mask & ~bit, b.val) for b in pairs}
+    return boxes
+
+
+def fixed_count_order(b: Box) -> tuple[int, int, int]:
+    return b.mask.bit_count(), b.mask, b.val
+
+
+def reference_database(cnf: CnfProblem, order: VariableOrder, skip: bool) -> tuple[BoxDatabase, int]:
+    """The merged clause boxes inserted one by one in increasing fixed-count
+    order, ties by mask then val, and the number of merged boxes."""
+    n = cnf.variable_count
+    distinct = {reference_clause_box(cl, n, order) for cl in cnf.clauses
+                if not any(-lit in cl.literals for lit in cl.literals)}
+    merged = sorted(reference_merge(distinct, n), key=fixed_count_order)
+    db = BoxDatabase(n, lambda_skip=skip)
+    for box in merged:
+        db.insert(box)
+    return db, len(merged)
+
+
+def per_clause_database(cnf: CnfProblem, order: VariableOrder, lambda_skip: bool = True) -> BoxDatabase:
+    """The unmerged build: one ``insert`` per clause box, in clause order."""
+    n = cnf.variable_count
+    db = BoxDatabase(n, lambda_skip=lambda_skip)
+    for cl in cnf.clauses:
+        if not any(-lit in cl.literals for lit in cl.literals):
+            db.insert(reference_clause_box(cl, n, order))
+    return db
+
+
 def build_and_reference(
     cnf: CnfProblem, order: VariableOrder, skip: bool
 ) -> tuple[BoxDatabase, BoxDatabase, int]:
-    """``build_database``'s trie and one built by one ``insert`` per distinct
-    box in arrival order, checked equal, and the number of distinct boxes."""
-    n = cnf.variable_count
-    want = BoxDatabase(n, lambda_skip=skip)
-    boxes = dict.fromkeys(reference_clause_box(cl, n, order) for cl in cnf.clauses
-                          if not any(-lit in cl.literals for lit in cl.literals))
-    for box in boxes:
-        want.insert(box)
+    """``build_database``'s trie and the reference merge's, checked equal,
+    and the number of merged boxes."""
+    want, merged = reference_database(cnf, order, skip)
     got = build_database(cnf, order, lambda_skip=skip)
     assert got.dump() == want.dump()
     assert list(got.boxes()) == list(want.boxes())
@@ -824,13 +905,24 @@ def build_and_reference(
     assert got.max_index == want.max_index
     assert [c.depth for c in got._chain] == [c.depth for c in want._chain]
     assert got.cluster_visits <= want.cluster_visits
-    return got, want, len(boxes)
+    return got, want, merged
+
+
+def falsified_points(cnf: CnfProblem, order: VariableOrder) -> list[bool]:
+    """Per sweep rank, whether the point falsifies some clause."""
+    n = cnf.variable_count
+    shift = {v: n - pos for pos, v in enumerate(order.as_sequence(), 1)}
+    return [
+        any(all((p >> shift[abs(lit)] & 1) != (lit > 0) for lit in cl.literals)
+            for cl in cnf.clauses)
+        for p in range(1 << n)
+    ]
 
 
 class TestBuildDatabase:
-    def test_equals_one_insert_per_clause(self):
+    def test_repeated_and_subsumed_clauses_equal_the_reference_merge(self):
         """Repeated and subsumed clauses, in both arrival orders, build the
-        trie that inserting every clause's box in turn builds."""
+        trie of the reference merge, and both orders build the same one."""
         rng = random.Random(0xB1D)
         for _ in range(150):
             n = rng.randint(1, 14)
@@ -845,23 +937,20 @@ class TestBuildDatabase:
                     clauses.append(Clause(cl.literals | set(rng.sample(extra, min(2, len(extra))))))
             rng.shuffle(clauses)
             order = VariableOrder(rng.sample(range(1, n + 1), n))
-            for arrival in (clauses, clauses[::-1]):
-                cnf = CnfProblem(n, arrival)
-                for skip in (True, False):
-                    want = BoxDatabase(n, lambda_skip=skip)
-                    for cl in arrival:
-                        want.insert(reference_clause_box(cl, n, order))
-                    got = build_database(cnf, order, lambda_skip=skip)
-                    assert got.dump() == want.dump()
-                    assert len(got) == len(want)
-                    assert got.max_index == want.max_index
+            for skip in (True, False):
+                dumps = set()
+                for arrival in (clauses, clauses[::-1]):
+                    got, _, _ = build_and_reference(CnfProblem(n, arrival), order, skip)
+                    dumps.add(got.dump())
+                assert len(dumps) == 1
 
-    def test_equals_one_insert_per_distinct_box(self):
-        """Boxes the build stores without a containment walk leave the trie
-        that one ``insert`` per distinct box builds, in every arrival order
-        of short and long clauses."""
+    def test_mixed_width_clauses_equal_the_reference_merge(self):
+        """Short, long and n-wide clauses, in every arrival order, build the
+        trie of the reference merge; the inputs reach boxes that merge and
+        merged boxes that a stored box contains, and every build stores
+        its fewest-fixed boxes without a walk."""
         rng = random.Random(0xF3E)
-        covered = fewer_visits = 0
+        covered = fewer_visits = merging = 0
         cases = [(rng.randint(1, 200), rng.randint(1, 40)) for _ in range(120)]
         for n, m in cases + [(1999, 30)]:
             clauses = mixed_width_clauses(rng, n, m)
@@ -872,14 +961,16 @@ class TestBuildDatabase:
                 clauses.sort(key=len)
             cnf = CnfProblem(n, clauses)
             order = VariableOrder(rng.sample(range(1, n + 1), n))
+            distinct = len({cl.literals for cl in clauses
+                            if not any(-lit in cl.literals for lit in cl.literals)})
             for skip in (True, False):
-                got, want, distinct = build_and_reference(cnf, order, skip)
-                covered += len(want) < distinct
+                got, want, merged = build_and_reference(cnf, order, skip)
+                covered += len(want) < merged
+                merging += merged < distinct
                 fewer_visits += got.cluster_visits < want.cluster_visits
-        # the inputs reach covered boxes, and every build skips a walk
-        assert covered > 100 and fewer_visits == 2 * len(cases) + 2
+        assert covered > 100 and merging > 0 and fewer_visits == 2 * len(cases) + 2
 
-    def test_benchmark_generators_equal_one_insert_per_distinct_box(self):
+    def test_benchmark_generators_equal_the_reference_merge(self):
         rng = random.Random(0x7A1)
         edges = frozenset((a, b) for a, b in combinations(range(40), 2) if rng.random() < 0.1)
         triangles = generate_cnf(InputGraph(40, edges), GraphQuerySpec("clique", 3))
@@ -887,7 +978,51 @@ class TestBuildDatabase:
         for cnf in (triangles, blocks):
             order = build_order(cnf, SolverConfig().ordering)
             for skip in (True, False):
-                build_and_reference(cnf, order, skip)
+                got, _, merged = build_and_reference(cnf, order, skip)
+                # siblings merge: far fewer boxes than distinct clauses
+                assert 2 * merged < len({cl.literals for cl in cnf.clauses})
+
+    def test_stored_boxes_cover_exactly_the_falsifying_points(self):
+        rng = random.Random(0xC0)
+        for _ in range(60):
+            n = rng.randint(1, 12)
+            cnf = random_cnf(rng, n, rng.randint(0, 4 * n), width_hi=rng.randint(1, 8))
+            order = VariableOrder(rng.sample(range(1, n + 1), n))
+            stored = list(build_database(cnf, order).boxes())
+            full = (1 << n) - 1
+            covered = [any(b.contains(Box(n, full, p)) for b in stored) for p in range(1 << n)]
+            assert covered == falsified_points(cnf, order)
+
+    def test_four_boxes_over_one_position_pair_merge_to_all_lambda(self):
+        # FF FT TF TT
+        cnf = CnfProblem(2, [Clause([1, 2]), Clause([1, -2]), Clause([-1, 2]), Clause([-1, -2])])
+        for order in (VariableOrder([1, 2]), VariableOrder([2, 1])):
+            db = build_database(cnf, order)
+            assert list(db.boxes()) == [Box.all_lambda(2)]
+            assert len(db) == 1 and db.max_index == 0
+        # the same pair inside wider boxes: positions 2 and 4 of four
+        wide = CnfProblem(4, [Clause([2 * s, 4 * t]) for s in (1, -1) for t in (1, -1)])
+        assert list(build_database(wide, VariableOrder.identity(4)).boxes()) == [Box.all_lambda(4)]
+        assert run(wide).count == brute_count(wide) == 0
+
+    def test_stored_set_does_not_depend_on_clause_order(self):
+        pair = [Clause([1, 2, 6]), Clause([1, 2])]
+        config = SolverConfig(ordering="naive-degree")
+        for clauses in (pair, pair[::-1]):
+            result = run(CnfProblem(6, clauses), config)
+            assert result.count == 48
+            assert result.iterations == 4
+        rng = random.Random(0x5EED)
+        for _ in range(100):
+            n = rng.randint(1, 14)
+            clauses = random_cnf(rng, n, rng.randint(0, 30), width_hi=6).clauses
+            clauses += rng.choices(clauses, k=rng.randint(0, 5)) if clauses else []
+            shuffled = rng.sample(clauses, len(clauses))
+            order = VariableOrder(rng.sample(range(1, n + 1), n))
+            for skip in (True, False):
+                dumps = {build_database(CnfProblem(n, arrival), order, lambda_skip=skip).dump()
+                         for arrival in (clauses, clauses[::-1], shuffled)}
+                assert len(dumps) == 1
 
     def test_tautology_has_no_box_and_is_skipped(self):
         order = VariableOrder.identity(3)
