@@ -84,13 +84,12 @@ def summarize(runs: list[dict[str, dict]], seed: int, seconds: float, end_to_end
     return out
 
 
-def claim_text(workloads: dict, claim: str, end_to_end: list[dict]) -> str:
+def claim_text(workloads: dict, claim: str) -> str:
     workload, _, metric = claim.partition(":")
     entry = workloads[workload]
     m = entry["metrics"][metric]
     p, c = m["parent"]["median"], m["change"]["median"]
-    lower = next(s["better"] for s in end_to_end if s["name"] == metric) == "lower"
-    verb = ("falls" if c < p else "rises") if lower else ("rises" if c > p else "falls")
+    verb = "falls" if c < p else "rises"
     return (f"{workload} {metric} {verb}: {p} -> {c} {m['unit']} ({(c - p) / p:+.1%}), "
             f"change better in {m['change_better_pairs']} of {entry['pairs']} pairs, "
             f"median gap {abs(c - p):.3g} {m['unit']} against a parent IQR of "
@@ -145,7 +144,7 @@ def main() -> int:
                 for side in SIDES), flush=True)
             record["workloads"][workload] = summarize(runs, args.seed, seconds, end_to_end)
             if args.claim and args.claim.partition(":")[0] in record["workloads"]:
-                record["claim"] = claim_text(record["workloads"], args.claim, end_to_end)
+                record["claim"] = claim_text(record["workloads"], args.claim)
             out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {out}")
     failed = sum(sum(w["failed"].values()) for w in record["workloads"].values())

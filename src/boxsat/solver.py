@@ -356,8 +356,9 @@ def build_database(
 
     The union of the boxes is the clauses' union, so every count is the
     same as one box per clause.  The stored set depends only on the set of
-    distinct clauses, not on their order or repeats, and ``max_index`` is
-    at most that of the unmerged boxes.
+    distinct clauses, not on their order or repeats.  A merged box fixes
+    only positions its clause boxes fix, so ``max_index`` is at most the
+    largest index of any clause box.
     """
     n = cnf.variable_count
     db = BoxDatabase(n, lambda_skip=lambda_skip)

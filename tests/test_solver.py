@@ -865,17 +865,13 @@ def reference_merge(boxes: set[Box], n: int) -> set[Box]:
     return boxes
 
 
-def fixed_count_order(b: Box) -> tuple[int, int, int]:
-    return b.mask.bit_count(), b.mask, b.val
-
-
 def reference_database(cnf: CnfProblem, order: VariableOrder, skip: bool) -> tuple[BoxDatabase, int]:
     """The merged clause boxes inserted one by one in increasing fixed-count
     order, ties by mask then val, and the number of merged boxes."""
     n = cnf.variable_count
     distinct = {reference_clause_box(cl, n, order) for cl in cnf.clauses
                 if not any(-lit in cl.literals for lit in cl.literals)}
-    merged = sorted(reference_merge(distinct, n), key=fixed_count_order)
+    merged = sorted(reference_merge(distinct, n), key=lambda b: (b.mask.bit_count(), b.mask, b.val))
     db = BoxDatabase(n, lambda_skip=skip)
     for box in merged:
         db.insert(box)
