@@ -147,8 +147,8 @@ def _cmd_stats(args) -> int:
     out = sys.stdout
     out.write(f"n {cnf.variable_count}\n")
     out.write(f"m {cnf.clause_count}\n")
-    # variables in no clause (degree 0): the tail every ordering ends with,
-    # which the sweep widens each model over
+    # variables in no clause (degree 0): the tail every ordering ends with;
+    # each gap box the sweep widens a model probe to spans at least these
     out.write(f"free {histogram.get(0, 0)}\n")
     for deg in sorted(histogram):
         out.write(f"degree {deg} {histogram[deg]}\n")

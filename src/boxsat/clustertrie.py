@@ -35,7 +35,10 @@ containing box with the smallest index" (``smallest_containing``) by a walk
 that reads one depth at a time and stops at the first depth with a hit.  It
 keeps its last walk's per-depth cluster lists and resumes at the first depth
 where the next query differs, so a query sharing a long prefix with the
-last one reads only the depths below that prefix.
+last one reads only the depths below that prefix.  After a miss, the same
+memo gives the deepest position at which a stored box first fails to
+contain the query (``miss_depth``), through a table of each slot's first
+such offset per query field.
 """
 
 from __future__ import annotations
@@ -79,6 +82,39 @@ def _slot_tables():
 
 
 _SLOT_MASK, _SLOT_VAL, _SLOT_LENGTH, _FIELD_RANKS = _slot_tables()
+
+
+def _miss_offsets():
+    """Per query slot, four masks of slots: the ``o``-th holds every slot
+    whose first failing position is offset ``o`` of the field, a failing
+    position being one the slot fixes and the query leaves λ or fixes to
+    the other value.  A slot that contains the query is in none."""
+    # per offset, the slots λ there, fixed to F there and fixed to T there
+    by_trit = []
+    for o in range(CLUSTER_SPAN):
+        bit = 1 << (CLUSTER_SPAN - 1 - o)
+        lam = false = true = 0
+        for j, (m, v) in enumerate(zip(_SLOT_MASK, _SLOT_VAL)):
+            if not m & bit:
+                lam |= 1 << j
+            elif v & bit:
+                true |= 1 << j
+            else:
+                false |= 1 << j
+        by_trit.append((bit, lam, false, true))
+    rows = []
+    for mv, vv in zip(_SLOT_MASK, _SLOT_VAL):
+        row = []
+        alive = (1 << SUBBOX_RANKS) - 1  # slots passing every earlier offset
+        for bit, lam, false, true in by_trit:
+            passing = lam | (0 if not mv & bit else true if vv & bit else false)
+            row.append(alive & ~passing)
+            alive &= passing
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+_MISS_OFFSETS = _miss_offsets()
 
 
 @dataclass(frozen=True)
@@ -141,8 +177,6 @@ class BoxDatabase:
     ``add_uncovered`` skips that check's walk, so a box it stores may lie
     inside another stored box as well.  Either way a box equal to a stored
     one is stored once, and ``len`` counts the boxes ``boxes()`` yields.
-    ``max_index`` is the largest index of any stored box: no stored box
-    fixes a position after it.
 
     Each cluster carries its own depth and path bits, so nothing is
     computed per push.  ``find_containing`` and ``all_containing`` pop
@@ -170,7 +204,6 @@ class BoxDatabase:
         self.root = Cluster()
         self._chain = [self.root]  # the all-λ chain, by depth
         self.box_count = 0
-        self.max_index = 0  # largest index of any stored box
         self.cluster_visits = 0  # clusters whose masks were intersected
         # ``smallest_containing``'s last walk: its padded query, each depth's
         # cluster list down to where it stopped, and its answer; None until
@@ -267,8 +300,6 @@ class BoxDatabase:
         if cluster.boxes_mask & bit:  # stored before, which lowered ``_clear`` then
             return
         self._levels = None  # the trie changes: drop the level walk's memo
-        if k > self.max_index:
-            self.max_index = k
         cluster.boxes_mask |= bit
         if not cluster.mask and cluster.depth < self._clear:  # a chain cluster
             self._clear = cluster.depth
@@ -431,6 +462,37 @@ class BoxDatabase:
         self.cluster_visits += visits
         hit = self._last_hit = None if best is None else self._witness(*best)
         return hit
+
+    def miss_depth(self) -> int | None:
+        """After a ``smallest_containing`` miss, the deepest position at
+        which a stored box first fails to contain that query (for a point,
+        the first position where the box fixes the other value); None when
+        the trie holds no box.
+
+        Read off the missed walk's memo, with no walk of its own.  The walk
+        stopped at its last depth D because every box slot and child slot
+        of D's clusters misses the query inside D's field, while their paths
+        contain its first 4D positions.  A box anywhere else missed at an
+        earlier depth, so it fails before position 4D.  So the answer is 4D
+        plus the largest offset, over D's set slots, of a slot's first
+        position not containing the query's field.  A later query that
+        ``smallest_containing`` answers from the memo shares D's field, so
+        the answer stands for it too.
+        """
+        levels = self._levels
+        if levels is None or self._last_hit is not None:
+            raise BoxError("miss_depth needs a smallest_containing miss since the last store")
+        d = len(levels) - 1
+        seen = 0
+        for cluster in levels[d]:
+            seen |= cluster.boxes_mask | cluster.children_mask
+        shift = self._shifts[d]
+        qm, qv = self._last_mask, self._last_val
+        row = _MISS_OFFSETS[_FIELD_RANKS[CLUSTER_SPAN][((qm >> shift) & 15) << 4 | ((qv >> shift) & 15)]]
+        for offset in range(CLUSTER_SPAN - 1, -1, -1):
+            if seen & row[offset]:
+                return CLUSTER_SPAN * d + offset
+        return None  # only an empty trie's root has no slot set
 
     def all_containing(self, q: Box, include_shadowed: bool = False) -> list[Box]:
         """All stored boxes containing ``q`` reachable by the mask walk.

@@ -12,7 +12,8 @@ both - 1).  All arithmetic on closeness uses exact scaled integers so that
 tie-breaks never depend on float rounding.
 
 Every strategy ends with the variables that occur in no clause, in
-increasing order: the sweep widens each model over that free tail.
+increasing order.  Every probe ends in F over that free tail, so the gap
+box the sweep widens a model probe to spans at least those positions.
 """
 
 from __future__ import annotations

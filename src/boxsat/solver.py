@@ -33,16 +33,21 @@ resolvent may lie inside a cache box already; storing it anyway costs at
 most a redundant box, and every answer stays sound, since every point in it
 is already settled.
 
-Free-tail widening: let f be the number of trailing positions that no
-stored clause box fixes (n minus the database's largest box index; the
-orderings put variables that occur in no clause last, so f counts at least
-those).  A double miss then counts the whole model box M, the probe with its
-last f positions set to λ, as 2^f models, streams its points in sweep
-order, and caches, cascades and advances past M in place of the probe.
-This is sound because no stored box fixes a tail position, so a box meets M
-only if it contains the probe, and the probe missed them all.  Every box
-the sweep handles has index at most n - f, so every advance clears the last
-f bits and every probe is the first point of its M.
+Gap boxes: a probe p that misses both the cache and the clause database
+widens to the model box G, p with its last j positions set to λ.  Here j
+is the smaller of p's trailing F count and n - 1 - d, where d is the
+deepest position at which p first disagrees with some clause box, read off
+the database's missed walk (``BoxDatabase.miss_depth``); with no clause box,
+j is the trailing F count.  Every clause box disagrees with p at or before
+d, a position G keeps, so no clause box meets G: its 2^j points, p and the
+points right after it in sweep order, are all models.  No cache box meets
+G either: each is a union of parts of clause boxes and of model boxes
+already counted, all before p.  The step counts G as 2^j models,
+streams its points in sweep order, and caches, cascades and advances past
+G in place of p.  G contains p and ends at or after p's last T, so the
+cascade pairs it as it would p.  The orderings put variables that occur
+in no clause last, and every probe ends in F over those, so j is at least
+their number; one clause over n variables is counted in n + 1 steps.
 
 ``run`` streams each model box as signed-literal tuples through
 ``cnf.literal_models``, whose template is each box's own prefix: the
@@ -247,11 +252,16 @@ class SolverState:
                 self._cache_insert(b, "database")
             else:
                 source = "model"
-                # Widen p over the free tail: no stored box fixes a position
-                # past the database's largest index, so none meets the box
-                # without containing p, and every point in it is a new model.
-                tail = (1 << (self.n - self.database.max_index)) - 1
-                b = Box(self.n, p.mask & ~tail, p.val)
+                # Widen p to its gap box: λ over its trailing F positions
+                # that lie past d, the deepest first disagreement of p with
+                # a clause box, so every clause box still misses the box.
+                n, pv = self.n, p.val
+                tail = (pv & -pv) - 1 if pv else (1 << n) - 1
+                if tail:
+                    d = self.database.miss_depth()
+                    if d is not None:
+                        tail &= (1 << (n - 1 - d)) - 1
+                b = Box(n, p.mask & ~tail, pv)
                 if not self._count_models(b):
                     return False
                 self._cache_insert(b, "model")
@@ -356,9 +366,7 @@ def build_database(
 
     The union of the boxes is the clauses' union, so every count is the
     same as one box per clause.  The stored set depends only on the set of
-    distinct clauses, not on their order or repeats.  A merged box fixes
-    only positions its clause boxes fix, so ``max_index`` is at most the
-    largest index of any clause box.
+    distinct clauses, not on their order or repeats.
     """
     n = cnf.variable_count
     db = BoxDatabase(n, lambda_skip=lambda_skip)

@@ -23,6 +23,17 @@ def random_cnf(rng: random.Random, n: int, m: int, width_hi: int = 5) -> CnfProb
     return CnfProblem(n, [random_clause(rng, n, width_hi) for _ in range(m)])
 
 
+def chain_cnf(n: int) -> CnfProblem:
+    """The connected chain (x_1 v x_2) & (x_2 v x_3) & ... over n variables,
+    with Fibonacci(n + 2) models."""
+    return CnfProblem(n, [Clause([i, i + 1]) for i in range(1, n)])
+
+
+# the chain over 22 variables, untimed under the default configuration
+CHAIN_22_MODELS = 46368
+CHAIN_22_STEPS = 55864
+
+
 def random_box(rng: random.Random, n: int, lambda_weight: int = 2) -> Box:
     from boxsat.boxes import Trit
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxsat
-from boxsat import Clause, CnfProblem, SolverConfig, write_dimacs
+from boxsat import Clause, CnfProblem, SolverConfig, parse_dimacs, run, write_dimacs
 from boxsat.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -22,7 +22,7 @@ from boxsat.cli import (
     main,
 )
 
-from conftest import EXAMPLE1_TEXT
+from conftest import CHAIN_22_MODELS, CHAIN_22_STEPS, EXAMPLE1_TEXT, chain_cnf
 
 FIG10_EDGES = "0 1\n1 2\n2 3\n3 0\n0 2\n"
 
@@ -100,8 +100,13 @@ class TestCount:
         assert "s MODELS 3" in out and "p cnf" in out
 
     def test_timeout(self, tmp_path, capsys):
-        big = tmp_path / "big.cnf"
-        big.write_text("p cnf 18 1\n" + " ".join(map(str, range(1, 19))) + " 0\n")
+        # the chain's sweep takes tens of thousands of steps, so the
+        # deadline stops the sweep however fast loading is
+        big = tmp_path / "chain.cnf"
+        with open(big, "w") as fh:
+            write_dimacs(chain_cnf(22), fh)
+        untimed = run(parse_dimacs(big.read_text()))
+        assert (untimed.count, untimed.iterations) == (CHAIN_22_MODELS, CHAIN_22_STEPS)
         code = main(["count", str(big), "--timeout", "0.0001"])
         assert code == EXIT_TIMEOUT
         assert "s MODELS" not in capsys.readouterr().out

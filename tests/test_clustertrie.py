@@ -115,9 +115,9 @@ class TestInsert:
         with pytest.raises(BoxError):
             BoxDatabase(3).add_uncovered(B("F-"))
 
-    def test_add_uncovered_matches_insert_and_tracks_max_index(self):
+    def test_add_uncovered_matches_insert(self):
         # on a box no stored box contains, the unchecked store builds the
-        # same structure as insert; max_index follows every stored box
+        # same structure as insert
         rng = random.Random(21)
         for n in (1, 4, 9, 17):
             checked, unchecked = BoxDatabase(n), BoxDatabase(n)
@@ -127,8 +127,6 @@ class TestInsert:
                     unchecked.add_uncovered(b)
                 checked.insert(b)
                 assert checked.dump() == unchecked.dump()
-                stored = [box.index for box in unchecked.boxes()]
-                assert unchecked.max_index == checked.max_index == max(stored, default=0)
 
     def test_add_uncovered_stores_an_equal_box_once(self):
         # the second store of a box finds its slot bit set and changes nothing
@@ -138,9 +136,9 @@ class TestInsert:
             for _ in range(30):
                 b = random_box(rng, n)
                 db.add_uncovered(b)
-                once = (len(db), db.dump(), db.max_index)
+                once = (len(db), db.dump())
                 db.add_uncovered(b)
-                assert (len(db), db.dump(), db.max_index) == once
+                assert (len(db), db.dump()) == once
                 assert len(db) == len(list(db.boxes()))
 
     def test_add_uncovered_keeps_a_box_inside_another(self):
@@ -527,7 +525,6 @@ class TestDifferential:
             db.add_uncovered(Box.all_lambda(n))
             assert db.dump() == "0:0"
             assert len(db) == 1
-            assert db.max_index == 0
 
     def test_smallest_ties_go_to_walk_order(self):
         # both boxes have index 5 and contain the probe; the walk reaches
@@ -808,6 +805,83 @@ class TestLevelWalk:
         for skip in (True, False):
             resumed, walked = self.compare(rng, 1999, lambda_skip=skip, queries=60)
             assert resumed < walked
+
+
+def brute_miss_depth(db: BoxDatabase, p: Box) -> int | None:
+    """The largest first position, over the stored boxes, at which a box
+    fixes the other value than the point ``p``, read trit by trit."""
+    firsts = [next(i for i in range(p.n) if b.trit(i) is not Trit.LAMBDA and b.trit(i) is not p.trit(i))
+              for b in db.boxes()]
+    return max(firsts, default=None)
+
+
+class TestMissDepth:
+    """After a ``smallest_containing`` miss, ``miss_depth`` reads the deepest
+    first disagreement off the walk's memo; it must equal the maximum over
+    ``boxes()``, whether the walk started at the root, resumed at a changed
+    depth or was answered by the memo outright."""
+
+    def random_store(self, rng, db: BoxDatabase) -> None:
+        n = db.n
+        b = random_box(rng, n, lambda_weight=rng.choice((1, 2, 4, 8)))
+        if rng.random() < 0.3:  # a λ-led box: all-λ chain clusters above it
+            lead = min(n, CLUSTER_SPAN * rng.randint(1, 4))
+            b = Box(n, b.mask & ((1 << (n - lead)) - 1), b.val & ((1 << (n - lead)) - 1))
+        if rng.random() < 0.5:
+            db.insert(b)
+        else:
+            db.add_uncovered(b)
+
+    def test_matches_brute_force(self):
+        rng = random.Random(0xD3E9)
+        paths = {"fresh": 0, "resumed": 0, "answered": 0}
+        for trial in range(200):
+            n = rng.choice((rng.randint(1, 12), rng.randint(13, 40), 150))
+            db = BoxDatabase(n, lambda_skip=bool(trial % 2))
+            for _ in range(rng.randint(1, 12)):
+                self.random_store(rng, db)
+            p = Box.point(n, rng.getrandbits(n))
+            for _ in range(40):
+                if rng.random() < 0.05:
+                    self.random_store(rng, db)
+                # keep a prefix of random length, often a long one
+                rest = rng.choice((rng.randint(0, n), rng.randint(0, min(n, 4))))
+                p = Box.point(n, (p.val >> rest << rest) | rng.getrandbits(rest))
+                levels = db._levels
+                if levels is None:
+                    path = "fresh"
+                else:
+                    changed = (p.val << db._pad) ^ db._last_val
+                    first = (n + db._pad - changed.bit_length()) // CLUSTER_SPAN
+                    path = "answered" if first >= len(levels) else "resumed"
+                if db.smallest_containing(p) is None:
+                    assert db.miss_depth() == brute_miss_depth(db, p), (p, path)
+                    paths[path] += 1
+                else:
+                    with pytest.raises(BoxError):
+                        db.miss_depth()
+        assert min(paths.values()) > 200, paths
+
+    def test_empty_trie_has_none(self):
+        for n in (0, 1, 4, 5, 9):
+            for skip in (True, False):
+                db = BoxDatabase(n, lambda_skip=skip)
+                assert db.smallest_containing(Box.point(n, 0)) is None
+                assert db.miss_depth() is None
+
+    def test_needs_a_miss_since_the_last_store(self):
+        db = BoxDatabase(4)
+        with pytest.raises(BoxError):
+            db.miss_depth()  # no walk yet
+        db.add_uncovered(B("FF--"))
+        assert db.smallest_containing(B("FTFF")) is None
+        assert db.miss_depth() == 1
+        db.add_uncovered(B("FT--"))
+        with pytest.raises(BoxError):
+            db.miss_depth()  # the store dropped the walk's memo
+        assert db.smallest_containing(B("FTFF")) == B("FT--")
+        with pytest.raises(BoxError):
+            db.miss_depth()  # a hit
 
 
 class TestWideFormulas:

@@ -22,7 +22,7 @@ from boxsat.boxes import BoxError, Trit
 from boxsat.solver import SolverError, SolverState, SweepTrace, advance, build_database
 from boxsat.oracle import brute_count, brute_models
 
-from conftest import random_clause, random_cnf
+from conftest import CHAIN_22_MODELS, CHAIN_22_STEPS, chain_cnf, random_clause, random_cnf
 
 B = Box.parse
 
@@ -102,6 +102,32 @@ class TestSelectiveInsertion:
         assert state.gate_passes(B("T--"))  # 2/3 wildcard
 
 
+def first_disagreement(box: Box, p: Box) -> int:
+    """The first position at which ``box`` fixes the other value than the
+    point ``p``, read trit by trit."""
+    return next(i for i in range(p.n)
+                if box.trit(i) is not Trit.LAMBDA and box.trit(i) is not p.trit(i))
+
+
+def reference_gap_box(p: Box, clause_boxes: list[Box]) -> Box:
+    """The model probe ``p`` with its last j positions λ: j is p's trailing
+    F count, capped at n - 1 - d for d the deepest first disagreement of p
+    with a clause box."""
+    n = p.n
+    j = 0
+    while j < n and p.trit(n - 1 - j) is Trit.FALSE:
+        j += 1
+    if clause_boxes:
+        j = min(j, n - 1 - max(first_disagreement(c, p) for c in clause_boxes))
+    return Box.from_trits(p.trits[:n - j] + (Trit.LAMBDA,) * j)
+
+
+def meets(a: Box, b: Box) -> bool:
+    """True iff the boxes share a point: no position fixed to opposite
+    values in both."""
+    return not any(Trit.LAMBDA not in (x, y) and x is not y for x, y in zip(a.trits, b.trits))
+
+
 class TestWalkthrough:
     def test_cache_states_track_the_figures(self):
         state = walkthrough_state()
@@ -126,14 +152,13 @@ class TestWalkthrough:
         assert state.probe == B("TTF")
         assert state.left[2] == B("TF-")
 
-        state.step()  # probe 4: second model, waits in left[3]
-        assert state.model_count == 2
-        assert state.left[3] == B("TTF")
-        assert state.probe == B("TTT")
-
-        state.step()  # probe 5: third model; cascade covers the whole space
+        state.step()  # probe 4 (TTF) widens to the gap box TT-: two models
+        # -FF first disagrees with TTF at position 1, so TTF's last position,
+        # and only it, turns λ; TT- resolves through T-- to the all-λ box
         assert state.model_count == 3
+        assert {"Box('TT-')", "Box('T--')", "Box('---')"} <= set(cache())
         assert state.covered
+        assert state.iterations == 4
         assert not state.step()
 
     def test_walkthrough_multibox_probe_picks_smaller_index(self):
@@ -225,9 +250,14 @@ class TestRun:
         assert tuple(range(-1, -17, -1)) not in seen
 
     def test_timeout_flag(self):
-        result = run(CnfProblem(16, [Clause(range(1, 17))]), SolverConfig(timeout=1e-4))
+        # the chain's sweep takes tens of thousands of steps, so the
+        # deadline stops the sweep however fast loading is
+        chain = chain_cnf(22)
+        untimed = run(chain)
+        assert (untimed.count, untimed.iterations) == (CHAIN_22_MODELS, CHAIN_22_STEPS)
+        result = run(chain, SolverConfig(timeout=1e-4))
         assert result.timed_out
-        assert result.count < 1 << 16
+        assert result.count < CHAIN_22_MODELS
 
     def test_one_unit_clause_over_20000_variables(self):
         # the default ordering scans only the one clause variable
@@ -303,7 +333,8 @@ class TestSweepInvariants:
             cnf = random_cnf(rng, rng.randint(2, 10), rng.randint(1, 18))
             config = SolverConfig(insertion_ratio=0.45, mode="enumerate")
             state, trace, order, db = self.drive(cnf, config)
-            stored_in_db = set(map(repr, db.boxes()))
+            clause_boxes = list(db.boxes())
+            stored_in_db = set(map(repr, clause_boxes))
             position = {v: pos for pos, v in enumerate(order.as_sequence())}
             seen_inserts = 0
             counted: set[str] = set()
@@ -315,11 +346,11 @@ class TestSweepInvariants:
                     if source == "database":
                         assert repr(box) in stored_in_db
                     if source == "model":
-                        # the probe widened over the positions no stored
-                        # clause box fixes; a point when there are none
+                        # the probe widened to its gap box, which no clause
+                        # box meets
                         p = trace.steps[-1][0]
-                        tail = (1 << (cnf.variable_count - db.max_index)) - 1
-                        assert box == Box(cnf.variable_count, p.mask & ~tail, p.val)
+                        assert box == reference_gap_box(p, clause_boxes)
+                        assert not any(meets(c, box) for c in clause_boxes)
                     # soundness: no uncounted model point may be covered
                     for bits in range(1 << cnf.variable_count):
                         point = Box.point(cnf.variable_count, bits)
@@ -700,6 +731,69 @@ class TestFreeTailWidening:
         assert 0 < result.count == len(seen) < 1 << 39
 
 
+def sweep_rank(model: tuple[int, ...], order: VariableOrder) -> int:
+    """The sweep rank of a signed-literal model under ``order``."""
+    n = order.n
+    return sum(1 << (n - 1 - pos) for pos, v in enumerate(order.as_sequence()) if model[v - 1] > 0)
+
+
+class TestGapBoxes:
+    """Every model probe widens to its gap box.  Hand-driven sweeps, under
+    every ordering, λ-skip on and off, in count and enumerate mode, must
+    count ``brute_count`` and stream ``brute_models`` in sweep order."""
+
+    def test_counts_and_models_match_the_oracle(self):
+        from boxsat.cnf import point_to_literals
+
+        rng = random.Random(0x6A9)
+        widened = runs = 0
+        for _ in range(120):
+            n = rng.randint(1, 12)
+            # few and wide clauses, where most probes are models, or a mix
+            if rng.random() < 0.5:
+                cnf = random_cnf(rng, n, rng.randint(0, 3), width_hi=n)
+            else:
+                cnf = random_cnf(rng, n, rng.randint(0, 3 * n), width_hi=rng.randint(1, 6))
+            want_count, want_models = brute_count(cnf), brute_models(cnf)
+            ratio = rng.choice((0.0, 0.45, 1.0))
+            for name in ORDERING_STRATEGIES:
+                order = build_order(cnf, name)
+                in_sweep_order = sorted(want_models, key=lambda m: sweep_rank(m, order))
+                for skip in (True, False):
+                    db = build_database(cnf, order, lambda_skip=skip)
+                    clause_boxes = list(db.boxes())
+                    free = n - max((b.index for b in clause_boxes), default=0)
+                    config = SolverConfig(insertion_ratio=ratio, ordering=name, lambda_skip=skip)
+                    counted = SolverState(n, db, config, trace=SweepTrace())
+                    counted.run_loop()
+                    assert counted.model_count == want_count, (name, skip)
+                    for p, source, box in counted.trace.steps:
+                        if source == "model":
+                            assert box == reference_gap_box(p, clause_boxes)
+                            widened += box.lambda_count > free
+
+                    points = []
+                    enumerate_config = SolverConfig(insertion_ratio=ratio, ordering=name,
+                                                    lambda_skip=skip, mode="enumerate")
+                    streamed = SolverState(n, db, enumerate_config, on_model=points.append)
+                    streamed.run_loop()
+                    assert streamed.model_count == want_count
+                    assert [p.val for p in points] == [sweep_rank(m, order) for m in in_sweep_order]
+                    assert [point_to_literals(p, order) for p in points] == in_sweep_order
+                    assert run(cnf, enumerate_config).models == in_sweep_order
+                    runs += 1
+        assert runs == 120 * len(ORDERING_STRATEGIES) * 2
+        assert widened > 1000
+
+    @pytest.mark.parametrize("n", [12, 16, 18, 60])
+    def test_one_wide_clause_takes_n_plus_one_steps(self, n):
+        # the all-F clause box, then one gap box per position, each twice
+        # as wide as the one before
+        result = run(CnfProblem(n, [Clause(range(1, n + 1))]))
+        assert result.count == (1 << n) - 1
+        assert result.iterations == n + 1
+
+
 def streamed_points(cnf: CnfProblem, ordering: str) -> list[tuple[int, ...]]:
     """The points a plain ``SolverState`` streams, as literal tuples."""
     from boxsat.cnf import point_to_literals
@@ -744,7 +838,7 @@ class TestLiteralStreaming:
 
         no_tail = CnfProblem(3, [Clause([1, -2, 3]), Clause([-1, 2])])
         order = build_order(no_tail, "grouped-heuristic")
-        assert build_database(no_tail, order).max_index == 3  # f = 0
+        assert max(b.index for b in build_database(no_tail, order).boxes()) == 3  # f = 0
         cases = [
             CnfProblem(0, []),  # n = 0: one empty model
             CnfProblem(1, []),  # n = 1, all free
@@ -898,7 +992,6 @@ def build_and_reference(
     assert got.dump() == want.dump()
     assert list(got.boxes()) == list(want.boxes())
     assert len(got) == len(want)
-    assert got.max_index == want.max_index
     assert [c.depth for c in got._chain] == [c.depth for c in want._chain]
     assert got.cluster_visits <= want.cluster_visits
     return got, want, merged
@@ -995,7 +1088,7 @@ class TestBuildDatabase:
         for order in (VariableOrder([1, 2]), VariableOrder([2, 1])):
             db = build_database(cnf, order)
             assert list(db.boxes()) == [Box.all_lambda(2)]
-            assert len(db) == 1 and db.max_index == 0
+            assert len(db) == 1
         # the same pair inside wider boxes: positions 2 and 4 of four
         wide = CnfProblem(4, [Clause([2 * s, 4 * t]) for s in (1, -1) for t in (1, -1)])
         assert list(build_database(wide, VariableOrder.identity(4)).boxes()) == [Box.all_lambda(4)]
@@ -1007,7 +1100,7 @@ class TestBuildDatabase:
         for clauses in (pair, pair[::-1]):
             result = run(CnfProblem(6, clauses), config)
             assert result.count == 48
-            assert result.iterations == 4
+            assert result.iterations == 3
         rng = random.Random(0x5EED)
         for _ in range(100):
             n = rng.randint(1, 14)
