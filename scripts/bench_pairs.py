@@ -7,9 +7,10 @@ and once in the change checkout, one process at a time: odd pairs run the
 parent first, even pairs the change first.  For every end-to-end metric of
 BENCHMARK.json the file records each side's quartiles
 (``statistics.quantiles(n=4)``, as ``boxbench/spread.py`` computes them) and
-how many pairs the change won, plus each side's git sha, source hash and
-attempted and failed solve counts.  The file is rewritten after every pair,
-so a cut run keeps the pairs it finished.
+how many pairs the change won, plus each side's git sha, whether its
+checkout had uncommitted changes (``git status --porcelain`` not empty),
+its source hash and its attempted and failed solve counts.  The file is
+rewritten after every pair, so a cut run keeps the pairs it finished.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --label merged_db --workload triangles --workload blocks \\
@@ -117,13 +118,18 @@ def main() -> int:
     end_to_end = bench["end_to_end"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     out = args.out or ROOT / f"BENCH_{args.label}.json"
-    shas = {side: subprocess.run(["git", "rev-parse", "HEAD"], cwd=path, capture_output=True,
-                                 text=True).stdout.strip() for side, path in checkouts.items()}
+    def git(side: str, *words: str) -> str:
+        return subprocess.run(["git", *words], cwd=checkouts[side], capture_output=True,
+                              text=True).stdout.strip()
+
     record = {
         "label": args.label,
         "claim": None,
-        "parent_sha": shas["parent"],
-        "change_sha": shas["change"],
+        # a dirty checkout (uncommitted changes) runs code its sha does not name
+        "parent_sha": git("parent", "rev-parse", "HEAD"),
+        "parent_dirty": bool(git("parent", "status", "--porcelain")),
+        "change_sha": git("change", "rev-parse", "HEAD"),
+        "change_dirty": bool(git("change", "status", "--porcelain")),
         "command": f"python3 boxbench/run.py --workload <w> --seed {args.seed} "
                    f"--seconds {seconds:g} --trace 0",
         "host": f"{os.cpu_count()}-core {platform.machine()}, "

@@ -150,6 +150,10 @@ def _cmd_stats(args) -> int:
     # variables in no clause (degree 0): the tail every ordering ends with;
     # each gap box the sweep widens a model probe to spans at least these
     out.write(f"free {histogram.get(0, 0)}\n")
+    # connected components of the clause variables, free ones left out: the
+    # ordering keeps each contiguous, and a count-mode sweep counts each
+    # suffix of whole components once
+    out.write(f"components {stats.component_count}\n")
     for deg in sorted(histogram):
         out.write(f"degree {deg} {histogram[deg]}\n")
     out.write(f"ordering {args.ordering} " + " ".join(map(str, order.as_sequence())) + "\n")

@@ -531,6 +531,52 @@ class BoxDatabase:
                 stack.append(children[slot])
         return out
 
+    def cuts(self) -> list[int]:
+        """Every position a, 0 < a < n, such that a stored box fixes a
+        position at or after a but none fixes both one before a and one at
+        or after it, in increasing order.
+
+        A box whose fixed positions run from f to l rules out the cuts
+        f + 1 .. l, and positions past every box's last fixed one are no
+        cuts either: no box constrains them.  Every box in the subtree of a
+        cluster off the all-λ chain has its path's first fixed position f,
+        so the cluster's longest slot gives its boxes' span, and the walk
+        skips the subtree once no cut past f is left; a chain cluster's
+        boxes are read slot by slot.  The walk builds no box and stops once
+        no cut is left.
+        """
+        left = ((1 << self.n) - 1) & ~1  # bit a: a may still be a cut
+        end = 0  # past the last fixed position of every box read
+        stack = [self.root]
+        while stack and left:
+            cluster = stack.pop()
+            base = CLUSTER_SPAN * cluster.depth
+            boxes = cluster.boxes_mask
+            if cluster.mask:
+                first = base - cluster.mask.bit_length()
+                if not left >> (first + 1):
+                    continue
+                if boxes:
+                    stop = base + _SLOT_LENGTH[boxes.bit_length() - 1]
+                    end = max(end, stop)
+                    left &= ~((1 << stop) - (1 << (first + 1)))
+            else:
+                while boxes:
+                    low = boxes & -boxes
+                    boxes ^= low
+                    slot = low.bit_length() - 1
+                    first = base + CLUSTER_SPAN - _SLOT_MASK[slot].bit_length()
+                    stop = base + _SLOT_LENGTH[slot]
+                    end = max(end, stop)
+                    if first + 1 < stop:
+                        left &= ~((1 << stop) - (1 << (first + 1)))
+            children, kids = cluster.children, cluster.children_mask
+            while kids:
+                slot = kids.bit_length() - 1
+                kids ^= 1 << slot
+                stack.append(children[slot])
+        return [a for a in range(1, end) if left >> a & 1]
+
     # -- introspection ---------------------------------------------------
 
     def boxes(self):

@@ -14,6 +14,16 @@ tie-breaks never depend on float rounding.
 Every strategy ends with the variables that occur in no clause, in
 increasing order.  Every probe ends in F over that free tail, so the gap
 box the sweep widens a model probe to spans at least those positions.
+
+``build_order`` keeps every connected component of the clause variables
+contiguous: two variables are connected when some clause holds both.  It
+regroups the strategy's order stably, components in the order their first
+variable appears and each keeping its variables' relative order, with the
+free tail last; an order over one component comes back unchanged.  No clause
+box then fixes positions on both sides of a component boundary, and the
+count-mode sweep counts the suffix past such a boundary once (see
+``solver``'s "Suffix counts").  The components come from the statistics
+pass the strategy makes anyway.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .cnf import CnfProblem, VariableOrder
 
@@ -31,6 +41,14 @@ from .cnf import CnfProblem, VariableOrder
 class VariableStats:
     degree: list[int]  # 1-based; degree[0] unused
     pair_min_size: dict[tuple[int, int], int]  # (u, v) u<v -> smallest co-clause size
+    # 1-based: a clause variable's component, named by one of its variables;
+    # 0 for a variable in no clause
+    component: list[int]
+
+    @property
+    def component_count(self) -> int:
+        """The connected components of the clause variables."""
+        return len(set(self.component) - {0})
 
     def scaled_closeness(self) -> dict[tuple[int, int], int]:
         """Each pair's closeness times the LCM of the occurring denominators,
@@ -51,8 +69,16 @@ def _variable_sets(cnf: CnfProblem) -> Counter[tuple[int, ...]]:
 
 
 def compute_stats(cnf: CnfProblem) -> VariableStats:
-    degree = [0] * (cnf.variable_count + 1)
+    n = cnf.variable_count
+    degree = [0] * (n + 1)
     pair_min: dict[tuple[int, int], int] = {}
+    parent = list(range(n + 1))  # union-find over the variables
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
     for vs, copies in _variable_sets(cnf).items():
         size = len(vs)
         for v in vs:
@@ -61,19 +87,24 @@ def compute_stats(cnf: CnfProblem) -> VariableStats:
             old = pair_min.get(pair)
             if old is None or size < old:
                 pair_min[pair] = size
-    return VariableStats(degree, pair_min)
+        if size > 1:
+            r = root(vs[0])
+            for v in vs[1:]:
+                parent[root(v)] = r
+    component = [root(v) if degree[v] else 0 for v in range(n + 1)]
+    return VariableStats(degree, pair_min, component)
 
 
 def _degree_descent(variables: Iterable[int], stats: VariableStats) -> list[int]:
     return sorted(variables, key=lambda v: (-stats.degree[v], v))
 
 
-def order_naive_degree(cnf: CnfProblem) -> VariableOrder:
-    stats = compute_stats(cnf)
+def order_naive_degree(cnf: CnfProblem, stats: VariableStats | None = None) -> VariableOrder:
+    stats = stats or compute_stats(cnf)
     return VariableOrder(_degree_descent(range(1, cnf.variable_count + 1), stats))
 
 
-def order_grouped_heuristic(cnf: CnfProblem) -> VariableOrder:
+def order_grouped_heuristic(cnf: CnfProblem, stats: VariableStats | None = None) -> VariableOrder:
     """Greedy groups of four: seed by degree, grow by closeness to the group.
 
     Variables in no clause have degree 0 and closeness 0 to everything, so
@@ -81,7 +112,7 @@ def order_grouped_heuristic(cnf: CnfProblem) -> VariableOrder:
     the clause variables only; the free ones, in increasing order, fill the
     group in which the clause variables run out and then follow.
     """
-    stats = compute_stats(cnf)
+    stats = stats or compute_stats(cnf)
     degree = stats.degree
     near: dict[int, dict[int, int]] = {}
     for (u, v), w in stats.scaled_closeness().items():
@@ -116,7 +147,7 @@ def order_grouped_heuristic(cnf: CnfProblem) -> VariableOrder:
 MAX_GROUP_SUBSETS = 1_000_000
 
 
-def order_grouped_optimal(cnf: CnfProblem) -> VariableOrder:
+def order_grouped_optimal(cnf: CnfProblem, stats: VariableStats | None = None) -> VariableOrder:
     """Exhaustive grouping: among all 4-subsets of the remaining clause
     variables, repeatedly take the one with maximal interconnectedness
     (ties: larger degree sum, then lexicographically smaller variable tuple).
@@ -131,7 +162,7 @@ def order_grouped_optimal(cnf: CnfProblem) -> VariableOrder:
     change no group: a subset with a free variable has a strictly smaller
     key than one with a clause variable in its place.
     """
-    stats = compute_stats(cnf)
+    stats = stats or compute_stats(cnf)
     degree = stats.degree
     variables = range(1, cnf.variable_count + 1)
     clause_vars = [v for v in variables if degree[v]]
@@ -180,13 +211,15 @@ def _fill_count(adj: dict[int, set[int]], v: int) -> int:
 
 
 def _eliminate_greedily(
-    cnf: CnfProblem, key: Callable[[dict[int, set[int]], int], tuple]
+    cnf: CnfProblem,
+    key: Callable[[dict[int, set[int]], int], tuple],
+    stats: VariableStats | None,
 ) -> VariableOrder:
     """Eliminate the vertex of least ``key(adj, u)`` until the primal graph
     is empty, joining its neighbours pairwise each time; variables in no
     clause follow.  The primal graph's vertices are the clause variables
     and its edges the co-occurring pairs, which the statistics list."""
-    stats = compute_stats(cnf)
+    stats = stats or compute_stats(cnf)
     variables = range(1, cnf.variable_count + 1)
     adj: dict[int, set[int]] = {v: set() for v in variables if stats.degree[v]}
     for u, v in stats.pair_min_size:
@@ -206,19 +239,20 @@ def _eliminate_greedily(
     return VariableOrder(out + free)
 
 
-def order_minfill(cnf: CnfProblem) -> VariableOrder:
+def order_minfill(cnf: CnfProblem, stats: VariableStats | None = None) -> VariableOrder:
     """Eliminate the vertex adding the fewest fill edges first; variables in
     no clause follow."""
-    return _eliminate_greedily(cnf, lambda adj, u: (_fill_count(adj, u), len(adj[u]), u))
+    return _eliminate_greedily(cnf, lambda adj, u: (_fill_count(adj, u), len(adj[u]), u), stats)
 
 
-def order_treewidth(cnf: CnfProblem) -> VariableOrder:
+def order_treewidth(cnf: CnfProblem, stats: VariableStats | None = None) -> VariableOrder:
     """Greedy minimum-degree elimination, a standard treewidth surrogate;
     variables in no clause follow."""
-    return _eliminate_greedily(cnf, lambda adj, u: (len(adj[u]), _fill_count(adj, u), u))
+    return _eliminate_greedily(cnf, lambda adj, u: (len(adj[u]), _fill_count(adj, u), u), stats)
 
 
-ORDERING_STRATEGIES: dict[str, Callable[[CnfProblem], VariableOrder]] = {
+# each takes the formula and, optionally, its statistics, computed if omitted
+ORDERING_STRATEGIES: dict[str, Callable[..., VariableOrder]] = {
     "naive-degree": order_naive_degree,
     "grouped-optimal": order_grouped_optimal,
     "grouped-heuristic": order_grouped_heuristic,
@@ -227,12 +261,25 @@ ORDERING_STRATEGIES: dict[str, Callable[[CnfProblem], VariableOrder]] = {
 }
 
 
+def _components_contiguous(order: Sequence[int], component: list[int]) -> list[int]:
+    """``order`` regrouped stably by ``component``: groups in the order of
+    their first variable, each keeping its variables' relative order."""
+    groups: dict[int, list[int]] = {}
+    for v in order:
+        groups.setdefault(component[v], []).append(v)
+    return [v for group in groups.values() for v in group]
+
+
 def build_order(cnf: CnfProblem, strategy: str) -> VariableOrder:
-    """The named strategy's order, which already ends with the free tail."""
+    """The named strategy's order, which already ends with the free tail,
+    with every connected component of the clause variables made contiguous.
+    The free variables form one group, which stays last."""
     try:
         fn = ORDERING_STRATEGIES[strategy]
     except KeyError:
         raise ValueError(
             f"unknown ordering {strategy!r}; choose from {sorted(ORDERING_STRATEGIES)}"
         ) from None
-    return fn(cnf)
+    stats = compute_stats(cnf)
+    order = fn(cnf, stats).as_sequence()
+    return VariableOrder(_components_contiguous(order, stats.component))

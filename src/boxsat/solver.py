@@ -49,6 +49,34 @@ cascade pairs it as it would p.  The orderings put variables that occur
 in no clause last, and every probe ends in F over those, so j is at least
 their number; one clause over n variables is counted in n + 1 steps.
 
+Suffix counts: in pure counting (no model sink) the sweep counts each
+independent suffix once.  A *cut* is a position a, 0 < a < n, such that
+some stored clause box fixes a position at or after a but none fixes both
+one before a and one at or after it (``BoxDatabase.cuts``; the positions
+past every clause box are left out, since every gap box spans them).
+``build_order`` keeps each connected component of the clause variables
+contiguous, so every boundary between components is one.  Each clause box
+then constrains either the prefix x (the first a positions) or the suffix,
+so the region x·{F,T}^(n-a) holds 0 models, when x falsifies a prefix box,
+or exactly c_a, the suffix's own count.  The sweep enters the region at
+x·F^(n-a) and leaves it at the next probe with at least n - a trailing F
+positions, so a probe's trailing F count says which regions it closes and
+opens; one mark per such probe records the count they open at.  When a
+region closes, the models counted since it opened are c_a if there are
+any, unless a box counted there had index below a, which only the opening
+step can count: a gap box or an outer region box holding models past the
+region.  So that step spoils the regions of the cuts past its box's index,
+and c_a is recorded from the first unspoilt region with models.  From then
+on an entry probe p of a recorded region takes the region box x·λ^(n-a) as
+one step and adds c_a, unless a box of index at most a contains p: a cache
+hit; a database box, which means x falsifies a prefix box and which the
+step prefers to a deeper cache hit; or, when both miss, the gap box if it
+is at least as wide.  The region box is cached as ``"component"`` and
+cascades and advances like any box containing p: its points are all
+settled, and it starts at p, after every point counted before.  So a
+timed-out count is still exact for the points before the probe.  A probe
+that enters no cut takes the plain step, with one added test.
+
 ``run`` streams each model box as signed-literal tuples through
 ``cnf.literal_models``, whose template is each box's own prefix: the
 literals it fixes up to its index, read once, plus each of its λ tail's
@@ -59,6 +87,7 @@ literal combinations in sweep order, mapped back to variable order.  So
 from __future__ import annotations
 
 import time
+from bisect import bisect_right, insort
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from itertools import islice
@@ -164,6 +193,20 @@ class SolverState:
         # the literal-tuple expansion
         self._expand: Callable[[Box], Iterator] = self._points
         self.trace = trace
+        # Suffix counts (module docstring), in pure counting only, each keyed
+        # by a cut's suffix length n - a: ``suffix_counts`` holds c_a once it
+        # is recorded, ``_recorded`` and ``_unrecorded`` the two sets of
+        # lengths, ascending.  ``_marks`` holds [z, count, spoil] per probe
+        # that opened regions, z falling to the top: a cut of length s
+        # opened its current region at the topmost mark with z >= s, at that
+        # count, and the region is spoilt if s < spoil.  A probe enters some
+        # cut's region when its value has no bit under ``_entry``.
+        self.suffix_counts: dict[int, int] = {}
+        self._recorded: list[int] = []
+        cuts = database.cuts() if self.on_model is None else []
+        self._unrecorded = [n - a for a in reversed(cuts)]
+        self._marks: list[list[int]] = []
+        self._entry = (1 << self._unrecorded[0]) - 1 if self._unrecorded else 0
         self.covered = False
         self.timed_out = False
         self.deadline: float | None = None  # set by run_loop
@@ -236,35 +279,91 @@ class SolverState:
         self.model_count += size
         return True
 
+    def _gap_box(self, p: Box) -> Box:
+        """The model probe ``p`` widened to its gap box: λ over its trailing
+        F positions that lie past d, the deepest first disagreement of p
+        with a clause box, so every clause box still misses the box."""
+        n, pv = self.n, p.val
+        tail = (pv & -pv) - 1 if pv else (1 << n) - 1
+        if tail:
+            d = self.database.miss_depth()
+            if d is not None:
+                tail &= (1 << (n - 1 - d)) - 1
+        return Box(n, p.mask & ~tail, pv)
+
+    def _region_step(self, p: Box) -> tuple[str, Box]:
+        """The box and source of a step at ``p``, which enters the region of
+        at least one cut (see "Suffix counts" in the module docstring)."""
+        pv, count = p.val, self.model_count
+        z = (pv & -pv).bit_length() - 1 if pv else self.n  # trailing F count
+        # Close the region of every cut of length s <= z.  Read from the
+        # top, each mark covers the lengths in (below, its z]: if models
+        # were counted since its count, each such cut not yet recorded and
+        # not spoilt records them as its c_a.  Then one mark opens p's
+        # regions.
+        marks, unrecorded, below = self._marks, self._unrecorded, 0
+        while marks:
+            top, start, spoil = marks[-1]
+            if start < count:
+                i = bisect_right(unrecorded, max(below, spoil - 1))
+                j = bisect_right(unrecorded, min(top, z))
+                for t in unrecorded[i:j]:
+                    self.suffix_counts[t] = count - start
+                    insort(self._recorded, t)
+                del unrecorded[i:j]
+            if top > z:
+                break
+            marks.pop()
+            below = top
+        marks.append([z, count, 0])
+        # the widest recorded region p enters; lam is its box's λ positions,
+        # none when there is no such region, which leaves the plain step
+        i = bisect_right(self._recorded, z)
+        s = self._recorded[i - 1] if i else 0
+        lam = (1 << s) - 1
+        # a box holding the region wins: a cache hit, else the database's
+        # smallest-index box, which means p's prefix falsifies a clause
+        b = self.cache.find_containing(p)
+        if b is not None and not b.mask & lam:
+            return "cache", b
+        d = self.database.smallest_containing(p)
+        if d is not None and not d.mask & lam:
+            self._cache_insert(d, "database")
+            return "database", d
+        if b is None and d is None and not (g := self._gap_box(p)).mask & lam:
+            source, b = "model", g
+            self._count_models(g)
+        else:
+            source, b = "component", Box(self.n, p.mask ^ lam, pv)
+            self.model_count += self.suffix_counts[s]
+        self._cache_insert(b, source)
+        # the counted box holds the whole region of every cut past its index
+        marks[-1][2] = b.lambda_count
+        return source, b
+
     def step(self) -> bool:
         """One sweep iteration; returns False once the run is finished."""
         if self.done:
             return False
         p = self.probe
-        source = "cache"
-        b = self.cache.find_containing(p)
-        if b is None:
-            # the smallest-index hit advances the probe furthest; it is the
-            # one worth caching
-            b = self.database.smallest_containing(p)
-            if b is not None:
-                source = "database"
-                self._cache_insert(b, "database")
-            else:
-                source = "model"
-                # Widen p to its gap box: λ over its trailing F positions
-                # that lie past d, the deepest first disagreement of p with
-                # a clause box, so every clause box still misses the box.
-                n, pv = self.n, p.val
-                tail = (pv & -pv) - 1 if pv else (1 << n) - 1
-                if tail:
-                    d = self.database.miss_depth()
-                    if d is not None:
-                        tail &= (1 << (n - 1 - d)) - 1
-                b = Box(n, p.mask & ~tail, pv)
-                if not self._count_models(b):
-                    return False
-                self._cache_insert(b, "model")
+        if self._entry and not p.val & self._entry:
+            source, b = self._region_step(p)
+        else:
+            source = "cache"
+            b = self.cache.find_containing(p)
+            if b is None:
+                # the smallest-index hit advances the probe furthest; it is
+                # the one worth caching
+                b = self.database.smallest_containing(p)
+                if b is not None:
+                    source = "database"
+                    self._cache_insert(b, "database")
+                else:
+                    source = "model"
+                    b = self._gap_box(p)
+                    if not self._count_models(b):
+                        return False
+                    self._cache_insert(b, "model")
         # Every cascade box contains p: each partner waiting in ``left``
         # agrees with p wherever it is fixed but at the pivot, which the
         # resolvent sets to λ.  So advancing past one depends only on its

@@ -23,6 +23,26 @@ def random_cnf(rng: random.Random, n: int, m: int, width_hi: int = 5) -> CnfProb
     return CnfProblem(n, [random_clause(rng, n, width_hi) for _ in range(m)])
 
 
+def component_cnf(rng: random.Random, n: int) -> CnfProblem:
+    """A random formula over n variables split into one to four groups of
+    scattered variables, each clause inside one group; a group may get no
+    clause, and about one formula in thirty gets the empty clause."""
+    variables = rng.sample(range(1, n + 1), n)
+    ends = sorted(rng.sample(range(1, n), min(rng.randint(0, 3), n - 1)))
+    clauses = []
+    for lo, hi in zip([0] + ends, ends + [n]):
+        group = variables[lo:hi]
+        if rng.random() < 0.2:
+            continue  # free variables
+        for _ in range(rng.randint(0, 2 * len(group))):
+            width = rng.randint(1, min(len(group), 4))
+            clauses.append(Clause([v if rng.random() < 0.5 else -v
+                                   for v in rng.sample(group, width)]))
+    if rng.random() < 1 / 30:
+        clauses.append(Clause([]))
+    return CnfProblem(n, clauses)
+
+
 def chain_cnf(n: int) -> CnfProblem:
     """The connected chain (x_1 v x_2) & (x_2 v x_3) & ... over n variables,
     with Fibonacci(n + 2) models."""

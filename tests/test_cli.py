@@ -371,6 +371,16 @@ class TestStats:
         assert main(["stats", example1_path]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[2] == "free 0"
 
+    def test_components(self, tmp_path, capsys, example1_path):
+        # the clause variables {1, 2}, {3, 5} and {6}; 4, 7 and 8 are free
+        path = tmp_path / "parts.cnf"
+        path.write_text("p cnf 8 4\n1 2 0\n-2 0\n3 -5 0\n6 0\n")
+        assert main(["stats", str(path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:4] == ["free 3", "components 3"]
+        assert main(["stats", example1_path]) == EXIT_OK
+        assert "components 1" in capsys.readouterr().out.splitlines()
+
     def test_free_variables(self, tmp_path, capsys):
         path = tmp_path / "free.cnf"
         path.write_text("p cnf 8 2\n1 2 0\n-2 3 0\n")

@@ -935,3 +935,44 @@ class TestClusterPaths:
         assert deep.depth == (n - 13) // 4
         assert deep.mask.bit_length() <= 4 * deep.depth
         assert list(db.boxes()) == [Box(n, 0b1011 << 12, 0b0010 << 12)]
+
+
+def reference_cuts(boxes: list[Box], n: int) -> list[int]:
+    """Positions a, 0 < a < n, where some box fixes a position at or after
+    a but none fixes both one before a and one at or after it, read trit by
+    trit."""
+    fixed = [[i for i, t in enumerate(b.trits) if t is not Trit.LAMBDA] for b in boxes]
+    return [a for a in range(1, n)
+            if any(f and f[-1] >= a for f in fixed)
+            and not any(f and f[0] < a <= f[-1] for f in fixed)]
+
+
+class TestCuts:
+    def test_match_a_trit_by_trit_reference(self):
+        rng = random.Random(0xC7)
+        found = 0
+        for _ in range(300):
+            n = rng.randint(0, 14)
+            db = BoxDatabase(n, lambda_skip=rng.random() < 0.5)
+            for _ in range(rng.randint(0, 12)):
+                # boxes over a random window, so some positions stay cuts
+                lo = rng.randint(0, n)
+                hi = rng.randint(lo, n)
+                inner = random_box(rng, hi - lo) if hi > lo else Box(0, 0, 0)
+                db.add_uncovered(Box(n, inner.mask << (n - hi), inner.val << (n - hi)))
+            want = reference_cuts(list(db.boxes()), n)
+            assert db.cuts() == want
+            found += len(want)
+        assert found > 500
+
+    def test_edge_cases(self):
+        assert BoxDatabase(0).cuts() == BoxDatabase(1).cuts() == BoxDatabase(3).cuts() == []
+        db = BoxDatabase(6)
+        db.add_uncovered(Box.parse("------"))  # fixes nothing
+        assert db.cuts() == []
+        db.add_uncovered(Box.parse("-T--F-"))
+        assert db.cuts() == [1]  # positions 5 and on are in no box
+        db.add_uncovered(Box.parse("-----T"))
+        assert db.cuts() == [1, 5]
+        db.add_uncovered(Box.parse("F----T"))
+        assert db.cuts() == []

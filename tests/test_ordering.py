@@ -327,10 +327,37 @@ def padded(rng, k, free):
     )
 
 
+def reference_components_contiguous(problem, seq):
+    """``seq`` with each connected component of the clause variables made
+    contiguous: components labelled by a breadth-first search over shared
+    clauses, in the order ``seq`` first meets them, each keeping its
+    variables' order in ``seq``; the variables in no clause follow, also in
+    ``seq``'s order."""
+    neighbours = {v: set() for v in range(1, problem.variable_count + 1)}
+    for cl in problem.clauses:
+        vs = {abs(l) for l in cl.literals}
+        for v in vs:
+            neighbours[v] |= vs
+    label = {}
+    for v in seq:
+        if v in label or not neighbours[v]:
+            continue
+        label[v] = v
+        frontier = [v]
+        while frontier:
+            frontier = [w for u in frontier for w in neighbours[u] if w not in label]
+            label.update((w, v) for w in frontier)
+    firsts = list(dict.fromkeys(label[v] for v in seq if v in label))
+    return tuple(
+        [v for first in firsts for v in seq if label.get(v) == first]
+        + [v for v in seq if v not in label]
+    )
+
+
 class TestStrategiesOwnTheFreeTail:
     def test_raw_order_ends_with_the_free_variables(self):
-        # build_order returns the strategy's order as it is, so each
-        # strategy must itself end with the free variables, in order
+        # build_order only regroups the strategy's order by component, so
+        # each strategy must itself end with the free variables, in order
         rng = random.Random(44)
         residues = set()
         for _ in range(60):
@@ -342,7 +369,8 @@ class TestStrategiesOwnTheFreeTail:
             for name, strategy in ORDERING_STRATEGIES.items():
                 seq = strategy(problem).as_sequence()
                 assert seq[len(used):] == free, name
-                assert build_order(problem, name).as_sequence() == seq, name
+                want = reference_components_contiguous(problem, seq)
+                assert build_order(problem, name).as_sequence() == want, name
         # the clause variables left over after the last group of four come
         # before the free ones, so every remainder must occur
         assert residues == {0, 1, 2, 3}
@@ -363,7 +391,83 @@ class TestFreeVariablesOutOfTheLoops:
             }
             for name, seq in references.items():
                 free_last = [v for v in seq if v in used] + [v for v in seq if v not in used]
-                assert build_order(problem, name).as_sequence() == tuple(free_last), name
+                want = reference_components_contiguous(problem, free_last)
+                assert build_order(problem, name).as_sequence() == want, name
             # grouped-heuristic still places the free variables where the
             # loop over every variable did
             assert order_grouped_heuristic(problem).as_sequence() == references["grouped-heuristic"]
+
+
+def planted_components(rng, sizes, free):
+    """A random formula whose clause variables fall into groups of the given
+    sizes, each group connected by a chain of binary clauses, with ``free``
+    variables in no clause; all scattered over the variable range."""
+    n = sum(sizes) + free
+    variables = rng.sample(range(1, n + 1), n)
+    groups, at = [], 0
+    for size in sizes:
+        groups.append(variables[at:at + size])
+        at += size
+    clauses = []
+    for g in groups:
+        clauses += [Clause([u, -w]) for u, w in zip(g, g[1:])]
+        clauses += [Clause(rng.sample(g, rng.randint(1, len(g))))
+                    for _ in range(rng.randint(0, len(g)))]
+        if len(g) == 1:
+            clauses.append(Clause([g[0]]))
+    rng.shuffle(clauses)
+    return CnfProblem(n, clauses), groups
+
+
+class TestComponentsContiguous:
+    def test_stats_find_the_planted_components(self):
+        rng = random.Random(0xC0)
+        for _ in range(60):
+            sizes = [rng.randint(1, 5) for _ in range(rng.randint(0, 5))]
+            problem, groups = planted_components(rng, sizes, rng.randint(0, 4))
+            stats = compute_stats(problem)
+            assert stats.component_count == len(groups)
+            for g in groups:
+                assert len({stats.component[v] for v in g}) == 1
+            assert len({stats.component[g[0]] for g in groups}) == len(groups)
+            free = set(range(1, problem.variable_count + 1)).difference(*groups)
+            assert all(stats.component[v] == 0 for v in free)
+
+    def test_every_strategy_keeps_components_contiguous(self):
+        rng = random.Random(0xC1)
+        split = 0
+        for _ in range(40):
+            sizes = [rng.randint(1, 5) for _ in range(rng.randint(1, 5))]
+            problem, groups = planted_components(rng, sizes, rng.randint(0, 4))
+            split += len(groups) > 1
+            for name, strategy in ORDERING_STRATEGIES.items():
+                seq = build_order(problem, name).as_sequence()
+                position = {v: i for i, v in enumerate(seq)}
+                for g in groups:
+                    at = sorted(position[v] for v in g)
+                    assert at == list(range(at[0], at[0] + len(g))), name
+                assert seq[sum(sizes):] == tuple(sorted(seq[sum(sizes):])), name
+                raw = strategy(problem).as_sequence()
+                assert seq == reference_components_contiguous(problem, raw), name
+        assert split > 20
+
+    def test_one_component_keeps_the_strategy_order(self):
+        rng = random.Random(0xC2)
+        for _ in range(40):
+            problem, _ = planted_components(rng, [rng.randint(1, 12)], rng.randint(0, 6))
+            for name, strategy in ORDERING_STRATEGIES.items():
+                assert build_order(problem, name) == strategy(problem), name
+
+    def test_one_statistics_pass(self, monkeypatch):
+        # the components come from the pass the strategy reads, not a second
+        # pass over the clauses
+        import boxsat.ordering as ordering
+
+        passes = []
+        real = ordering._variable_sets
+        monkeypatch.setattr(ordering, "_variable_sets", lambda cnf: passes.append(cnf) or real(cnf))
+        problem, _ = planted_components(random.Random(0xC3), [3, 4, 2], 2)
+        for name in ORDERING_STRATEGIES:
+            passes.clear()
+            build_order(problem, name)
+            assert len(passes) == 1, name

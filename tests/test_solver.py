@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from itertools import combinations, islice
 
 import pytest
@@ -22,7 +23,14 @@ from boxsat.boxes import BoxError, Trit
 from boxsat.solver import SolverError, SolverState, SweepTrace, advance, build_database
 from boxsat.oracle import brute_count, brute_models
 
-from conftest import CHAIN_22_MODELS, CHAIN_22_STEPS, chain_cnf, random_clause, random_cnf
+from conftest import (
+    CHAIN_22_MODELS,
+    CHAIN_22_STEPS,
+    chain_cnf,
+    component_cnf,
+    random_clause,
+    random_cnf,
+)
 
 B = Box.parse
 
@@ -327,47 +335,73 @@ class TestSweepInvariants:
 
     def test_cache_soundness_and_provenance(self):
         # every cached box must avoid all not-yet-counted models, and carry a
-        # legal provenance tag
+        # legal provenance tag: enumerate-mode sweeps, then count-mode sweeps
+        # of formulas with several components, which cache region boxes
         rng = random.Random(64)
         for _ in range(10):
             cnf = random_cnf(rng, rng.randint(2, 10), rng.randint(1, 18))
-            config = SolverConfig(insertion_ratio=0.45, mode="enumerate")
-            state, trace, order, db = self.drive(cnf, config)
-            clause_boxes = list(db.boxes())
-            stored_in_db = set(map(repr, clause_boxes))
-            position = {v: pos for pos, v in enumerate(order.as_sequence())}
-            seen_inserts = 0
-            counted: set[str] = set()
-            while True:
-                alive = state.step()
+            self.check_cache_inserts(cnf, SolverConfig(insertion_ratio=0.45, mode="enumerate"))
+        regions = 0
+        for _ in range(30):
+            cnf = component_cnf(rng, rng.randint(2, 10))
+            regions += self.check_cache_inserts(cnf, SolverConfig(insertion_ratio=0.45))
+        assert regions > 20
+
+    def check_cache_inserts(self, cnf, config) -> int:
+        """Steps the sweep to its end, checking each cache insert; returns
+        how many region boxes it cached.  A count-mode sweep streams no
+        model, so its counted models are those before the probe."""
+        state, trace, order, db = self.drive(cnf, config)
+        n = cnf.variable_count
+        clause_boxes = list(db.boxes())
+        stored_in_db = set(map(repr, clause_boxes))
+        position = {v: pos for pos, v in enumerate(order.as_sequence())}
+
+        def sat(point):
+            return all(
+                any((point.trit(position[abs(l)]) is Trit.TRUE) == (l > 0) for l in c.literals)
+                for c in cnf.clauses
+            )
+
+        models = [bits for bits in range(1 << n) if sat(Box.point(n, bits))]
+        seen_inserts = regions = 0
+        counted: set[str] = set()
+        while True:
+            before = state.model_count
+            alive = state.step()
+            if config.mode == "enumerate":
                 counted = {repr(m) for m in (state.models or [])}
-                for box, source in trace.cache_inserts[seen_inserts:]:
-                    assert source in ("database", "model", "resolution")
-                    if source == "database":
-                        assert repr(box) in stored_in_db
-                    if source == "model":
-                        # the probe widened to its gap box, which no clause
-                        # box meets
-                        p = trace.steps[-1][0]
-                        assert box == reference_gap_box(p, clause_boxes)
-                        assert not any(meets(c, box) for c in clause_boxes)
-                    # soundness: no uncounted model point may be covered
-                    for bits in range(1 << cnf.variable_count):
-                        point = Box.point(cnf.variable_count, bits)
-                        if box.contains(point):
-                            sat = all(
-                                any(
-                                    (point.trit(position[abs(l)]) is Trit.TRUE)
-                                    == (l > 0)
-                                    for l in c.literals
-                                )
-                                for c in cnf.clauses
-                            )
-                            if sat:
-                                assert repr(point) in counted
-                seen_inserts = len(trace.cache_inserts)
-                if not alive:
-                    break
+            else:
+                settled = 1 << n if state.covered else state.probe.val
+                counted = {repr(Box.point(n, bits)) for bits in models if bits < settled}
+                assert state.model_count == len(counted)
+            for box, source in trace.cache_inserts[seen_inserts:]:
+                assert source in ("database", "model", "resolution", "component")
+                if source == "database":
+                    assert repr(box) in stored_in_db
+                if source == "model":
+                    # the probe widened to its gap box, which no clause
+                    # box meets
+                    p = trace.steps[-1][0]
+                    assert box == reference_gap_box(p, clause_boxes)
+                    assert not any(meets(c, box) for c in clause_boxes)
+                if source == "component":
+                    # the step's own box: every point of it is settled, and
+                    # the step counted exactly the models inside it
+                    assert config.mode == "count" and trace.steps[-1][2] == box
+                    inside = [bits for bits in range(1 << n) if box.contains(Box.point(n, bits))]
+                    assert state.covered or max(inside) < state.probe.val
+                    assert state.model_count - before == sum(bits in models for bits in inside)
+                    regions += 1
+                # soundness: no uncounted model point may be covered
+                for bits in models:
+                    point = Box.point(n, bits)
+                    if box.contains(point):
+                        assert repr(point) in counted
+            seen_inserts = len(trace.cache_inserts)
+            if not alive:
+                break
+        return regions
 
     def test_resolvents_hold_the_probe_and_never_strand_it(self):
         # a step advances once, past its cascade's last box; every box of
@@ -1120,3 +1154,163 @@ class TestBuildDatabase:
         cnf = CnfProblem(3, [Clause([1, -1, 2]), Clause([2, -3]), Clause([3, -3])])
         assert len(build_database(cnf, order)) == 1
         assert run(cnf).count == brute_count(cnf) == 6
+
+
+def region_counts(cnf: CnfProblem, order: VariableOrder, s: int) -> set[int]:
+    """The model counts of the regions x·{F,T}^s that hold a model, x
+    ranging over the prefixes before the last ``s`` positions of ``order``:
+    one count, c, when the position before those s is a cut."""
+    ranks = (sweep_rank(m, order) for m in brute_models(cnf))
+    return set(Counter(r >> s for r in ranks).values())
+
+
+def count_sweep(cnf: CnfProblem, config: SolverConfig, every_cut: bool = False,
+                **kwargs) -> SolverState:
+    """A count-mode ``SolverState`` over ``cnf``'s merged database, traced.
+    With ``every_cut``, the database reports as cuts the positions past
+    every clause box's last fixed one too, which ``BoxDatabase.cuts``
+    leaves out: they are cuts as well, but the gap boxes span them."""
+    order = build_order(cnf, config.ordering)
+    db = build_database(cnf, order, lambda_skip=config.lambda_skip)
+    if every_cut:
+        fixed = [[i for i, t in enumerate(b.trits) if t is not Trit.LAMBDA] for b in db.boxes()]
+        cuts = [a for a in range(1, db.n) if not any(f and f[0] < a <= f[-1] for f in fixed)]
+        db.cuts = lambda: cuts
+    return SolverState(cnf.variable_count, db, config, trace=SweepTrace(), **kwargs)
+
+
+class TestSuffixCounts:
+    """Pure counting counts each suffix past a cut once and then takes each
+    of its regions as one step; see "Suffix counts" in ``boxsat.solver``."""
+
+    def test_counts_match_the_oracle(self):
+        rng = random.Random(0x5CC)
+        regions = runs = 0
+        for _ in range(120):
+            cnf = component_cnf(rng, rng.randint(1, 12))
+            want = brute_count(cnf)
+            for name in ORDERING_STRATEGIES:
+                order = build_order(cnf, name)
+                for skip in (True, False):
+                    for ratio in (0.0, 0.45, 1.0):
+                        config = SolverConfig(insertion_ratio=ratio, ordering=name, lambda_skip=skip)
+                        assert run(cnf, config).count == want
+                        # the unconstrained tail's cuts bring gap boxes
+                        # that hold whole regions, and outer region boxes
+                        for every_cut in (False, True):
+                            state = count_sweep(cnf, config, every_cut)
+                            state.run_loop()
+                            assert state.model_count == want, (name, skip, ratio)
+                            for s, c in state.suffix_counts.items():
+                                assert region_counts(cnf, order, s) == {c}
+                            regions += sum(src == "component" for _, src, _ in state.trace.steps)
+                        runs += 1
+        assert runs == 120 * len(ORDERING_STRATEGIES) * 6
+        assert regions > 4000
+
+    def test_count_mode_with_a_sink_streams_every_model(self):
+        from boxsat.cnf import point_to_literals
+
+        rng = random.Random(0x5CD)
+        for _ in range(40):
+            cnf = component_cnf(rng, rng.randint(1, 10))
+            for name in ORDERING_STRATEGIES:
+                order = build_order(cnf, name)
+                points = []
+                state = count_sweep(cnf, SolverConfig(ordering=name), on_model=points.append)
+                state.run_loop()
+                want = sorted(brute_models(cnf), key=lambda m: sweep_rank(m, order))
+                assert [point_to_literals(p, order) for p in points] == want
+                assert state.model_count == len(want)
+                assert not state.suffix_counts
+                assert all(src != "component" for _, src, _ in state.trace.steps)
+
+    def test_count_is_exact_for_the_points_before_the_probe(self, monkeypatch):
+        rng = random.Random(0x5CE)
+        for _ in range(40):
+            cnf = component_cnf(rng, rng.randint(1, 10))
+            for name in ORDERING_STRATEGIES:
+                order = build_order(cnf, name)
+                ranks = sorted(sweep_rank(m, order) for m in brute_models(cnf))
+                state = count_sweep(cnf, SolverConfig(ordering=name))
+                while state.step():
+                    assert state.model_count == sum(r < state.probe.val for r in ranks)
+                assert state.model_count == len(ranks)
+        # a timed-out run: the clock passes the deadline between the checks
+        # before step 0 and step 256, inside a sweep of 650 steps
+        cnf = CnfProblem(15, chain_cnf(12).clauses + [Clause([13, -14]), Clause([14, 15])])
+        order = build_order(cnf, "grouped-heuristic")
+        ranks = [sweep_rank(m, order) for m in brute_models(cnf)]
+        state = count_sweep(cnf, SolverConfig())
+        clock = iter([0.0, 2.0])
+        monkeypatch.setattr("boxsat.solver.time.perf_counter", lambda: next(clock))
+        assert state.run_loop(deadline=1.0)
+        assert state.iterations == 256 and state.timed_out
+        assert any(src == "component" for _, src, _ in state.trace.steps)
+        assert 0 < state.model_count == sum(r < state.probe.val for r in ranks) < len(ranks)
+
+    def test_recorded_counts_are_suffix_counts(self):
+        # (x1 v x2) over six variables: the positions 2..5 are in no clause
+        # box, so ``cuts`` leaves them out and the sweep records nothing
+        state = count_sweep(CnfProblem(6, [Clause([1, 2])]), SolverConfig(ordering="naive-degree"))
+        assert state.database.cuts() == []
+        state.run_loop()
+        assert state.model_count == 48 and not state.suffix_counts
+        # Reported as cuts, they are still cuts.  The gap box FT---- counts
+        # 16 models at the probe that opens regions of cuts 3..5 too; those
+        # regions are spoilt, so only c_2 = 16 is recorded, not 16 for the
+        # inner cuts, whose suffixes hold 8, 4 and 2.
+        state = count_sweep(CnfProblem(6, [Clause([1, 2])]), SolverConfig(ordering="naive-degree"),
+                            every_cut=True)
+        assert state.database.cuts() == [2, 3, 4, 5]
+        state.run_loop()
+        assert state.model_count == 48
+        assert state.suffix_counts == {4: 16}
+
+    def test_double_miss_takes_the_wider_gap_box(self):
+        # with the unconstrained positions 2..5 reported as cuts, c_2 = 16
+        # is recorded in the region FT----; in the region TF---- the probe
+        # TFFFFF misses both tries, and its gap box T----- holds the region
+        # and more
+        for every_cut in (False, True):
+            state = count_sweep(CnfProblem(6, [Clause([1, 2, 6]), Clause([1, 2])]),
+                                SolverConfig(ordering="naive-degree"), every_cut)
+            state.run_loop()
+            assert state.model_count == 48
+            assert state.suffix_counts == ({4: 16} if every_cut else {})
+            assert [(src, b) for _, src, b in state.trace.steps] == [
+                ("database", B("FF----")), ("model", B("FT----")), ("model", B("T-----"))]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_entry_prefers_the_database_box(self, seed):
+        # a cache hit past the cut at an entry whose prefix falsifies a
+        # clause would re-walk the suffix: these instances take 70-74 steps,
+        # against 8,345-15,458 when the cache hit wins
+        cnf, groups = hidden_solution_blocks(seed=seed)
+        result = run(cnf)
+        assert result.count == block_count(cnf, groups)
+        assert result.iterations < 100
+
+    def test_cuts_come_from_the_stored_set(self):
+        # FFF- lies inside FF-- and is not stored, so it rules out no cut
+        cnf = CnfProblem(4, [Clause([1, 2]), Clause([1, 2, 3]), Clause([3, 4])])
+        db = build_database(cnf, VariableOrder.identity(4))
+        assert sorted(repr(b) for b in db.boxes()) == ["Box('--FF')", "Box('FF--')"]
+        assert db.cuts() == [2]
+
+    def test_no_cut_takes_the_plain_steps(self):
+        # a sweep with no cut takes the same steps with and without a sink
+        rng = random.Random(0x5CF)
+        plain = 0
+        for _ in range(60):
+            cnf = random_cnf(rng, rng.randint(1, 10), rng.randint(0, 30), width_hi=6)
+            counted = count_sweep(cnf, SolverConfig())
+            if counted.database.cuts():
+                continue
+            streamed = count_sweep(cnf, SolverConfig(), on_model=lambda p: None)
+            counted.run_loop()
+            streamed.run_loop()
+            assert counted.trace.steps == streamed.trace.steps
+            assert counted.trace.cache_inserts == streamed.trace.cache_inserts
+            plain += 1
+        assert plain > 20
