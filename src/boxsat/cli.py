@@ -140,7 +140,7 @@ def _cmd_stats(args) -> int:
     with _open_input(args.input) as fh:
         cnf = parse_dimacs(fh)
     stats = compute_stats(cnf)
-    order = build_order(cnf, args.ordering)
+    order = build_order(cnf, args.ordering, stats)
     histogram: dict[int, int] = {}
     for v in range(1, cnf.variable_count + 1):
         histogram[stats.degree[v]] = histogram.get(stats.degree[v], 0) + 1

@@ -544,6 +544,11 @@ class BoxDatabase:
         skips the subtree once no cut past f is left; a chain cluster's
         boxes are read slot by slot.  The walk builds no box and stops once
         no cut is left.
+
+        The sweep's suffix counts rely on every reported cut being
+        constrained: some stored box fixes only positions at or after it,
+        so no gap box spans its regions (see "Suffix counts" in
+        ``boxsat.solver``).
         """
         left = ((1 << self.n) - 1) & ~1  # bit a: a may still be a cut
         end = 0  # past the last fixed position of every box read

@@ -270,16 +270,19 @@ def _components_contiguous(order: Sequence[int], component: list[int]) -> list[i
     return [v for group in groups.values() for v in group]
 
 
-def build_order(cnf: CnfProblem, strategy: str) -> VariableOrder:
+def build_order(
+    cnf: CnfProblem, strategy: str, stats: VariableStats | None = None
+) -> VariableOrder:
     """The named strategy's order, which already ends with the free tail,
     with every connected component of the clause variables made contiguous.
-    The free variables form one group, which stays last."""
+    The free variables form one group, which stays last.  ``stats``, when
+    given, is ``compute_stats(cnf)`` already taken."""
     try:
         fn = ORDERING_STRATEGIES[strategy]
     except KeyError:
         raise ValueError(
             f"unknown ordering {strategy!r}; choose from {sorted(ORDERING_STRATEGIES)}"
         ) from None
-    stats = compute_stats(cnf)
+    stats = stats or compute_stats(cnf)
     order = fn(cnf, stats).as_sequence()
     return VariableOrder(_components_contiguous(order, stats.component))

@@ -61,21 +61,32 @@ so the region x·{F,T}^(n-a) holds 0 models, when x falsifies a prefix box,
 or exactly c_a, the suffix's own count.  The sweep enters the region at
 x·F^(n-a) and leaves it at the next probe with at least n - a trailing F
 positions, so a probe's trailing F count says which regions it closes and
-opens; one mark per such probe records the count they open at.  When a
-region closes, the models counted since it opened are c_a if there are
-any, unless a box counted there had index below a, which only the opening
-step can count: a gap box or an outer region box holding models past the
-region.  So that step spoils the regions of the cuts past its box's index,
-and c_a is recorded from the first unspoilt region with models.  From then
-on an entry probe p of a recorded region takes the region box x·λ^(n-a) as
-one step and adds c_a, unless a box of index at most a contains p: a cache
-hit; a database box, which means x falsifies a prefix box and which the
-step prefers to a deeper cache hit; or, when both miss, the gap box if it
-is at least as wide.  The region box is cached as ``"component"`` and
-cascades and advances like any box containing p: its points are all
-settled, and it starts at p, after every point counted before.  So a
-timed-out count is still exact for the points before the probe.  A probe
-that enters no cut takes the plain step, with one added test.
+opens; one mark per such probe records the count they open at.  The first
+region of a cut to close with models counted since it opened records them
+as c_a.  Two facts make this sound.
+
+No gap box reaches a region's width.  Every cut a that ``cuts`` reports
+has a stored box B that fixes only positions at or after a.  At a double
+miss, B first disagrees with p at or after a, so d >= a and the gap box
+keeps position a.  For the same reason, no region is all models.
+
+Shorter cuts are recorded first.  The first region with models of a longer
+cut holds a region with models of each shorter cut, and that region closes
+first.  So only a region box of a recorded longer cut can reach past a
+region's opening, and by then every shorter cut is recorded.  The models
+counted since a region of an unrecorded cut opened are all its own, and
+the recorded lengths are always the shortest ones.
+
+Each step sets λ: the positions of the widest recorded region the probe p
+enters, or none.  It takes the first of these that applies: a cache hit
+that fixes no λ position; the database's smallest-index box that fixes
+none, which means x falsifies a prefix box and which the step prefers to a
+deeper cache hit; the region box x·λ^(n-a) adding c_a, if λ is set; the
+gap box.  With no λ this is the plain step.  The region box is cached as
+``"component"`` and cascades and advances like any box containing p: its
+points are all settled, and it starts at p, after every point counted
+before.  So a timed-out count is still exact for the points before the
+probe.
 
 ``run`` streams each model box as signed-literal tuples through
 ``cnf.literal_models``, whose template is each box's own prefix: the
@@ -87,7 +98,7 @@ literal combinations in sweep order, mapped back to variable order.  So
 from __future__ import annotations
 
 import time
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from itertools import islice
@@ -193,20 +204,19 @@ class SolverState:
         # the literal-tuple expansion
         self._expand: Callable[[Box], Iterator] = self._points
         self.trace = trace
-        # Suffix counts (module docstring), in pure counting only, each keyed
-        # by a cut's suffix length n - a: ``suffix_counts`` holds c_a once it
-        # is recorded, ``_recorded`` and ``_unrecorded`` the two sets of
-        # lengths, ascending.  ``_marks`` holds [z, count, spoil] per probe
-        # that opened regions, z falling to the top: a cut of length s
-        # opened its current region at the topmost mark with z >= s, at that
-        # count, and the region is spoilt if s < spoil.  A probe enters some
-        # cut's region when its value has no bit under ``_entry``.
+        # Suffix counts (module docstring), in pure counting only:
+        # ``_lengths`` holds each cut's suffix length n - a, ascending, and
+        # ``suffix_counts`` c_a for the first ``_known`` of them, keyed by
+        # length.  ``_marks`` holds (z, count) per probe that opened regions,
+        # z falling to the top: a cut of length s opened its current region
+        # at the topmost mark with z >= s, at that count.  A probe enters
+        # some cut's region when its value has no bit under ``_entry``.
         self.suffix_counts: dict[int, int] = {}
-        self._recorded: list[int] = []
         cuts = database.cuts() if self.on_model is None else []
-        self._unrecorded = [n - a for a in reversed(cuts)]
-        self._marks: list[list[int]] = []
-        self._entry = (1 << self._unrecorded[0]) - 1 if self._unrecorded else 0
+        self._lengths = [n - a for a in reversed(cuts)]
+        self._known = 0
+        self._marks: list[tuple[int, int]] = []
+        self._entry = (1 << self._lengths[0]) - 1 if self._lengths else 0
         self.covered = False
         self.timed_out = False
         self.deadline: float | None = None  # set by run_loop
@@ -291,79 +301,52 @@ class SolverState:
                 tail &= (1 << (n - 1 - d)) - 1
         return Box(n, p.mask & ~tail, pv)
 
-    def _region_step(self, p: Box) -> tuple[str, Box]:
-        """The box and source of a step at ``p``, which enters the region of
-        at least one cut (see "Suffix counts" in the module docstring)."""
-        pv, count = p.val, self.model_count
-        z = (pv & -pv).bit_length() - 1 if pv else self.n  # trailing F count
-        # Close the region of every cut of length s <= z.  Read from the
-        # top, each mark covers the lengths in (below, its z]: if models
-        # were counted since its count, each such cut not yet recorded and
-        # not spoilt records them as its c_a.  Then one mark opens p's
-        # regions.
-        marks, unrecorded, below = self._marks, self._unrecorded, 0
-        while marks:
-            top, start, spoil = marks[-1]
-            if start < count:
-                i = bisect_right(unrecorded, max(below, spoil - 1))
-                j = bisect_right(unrecorded, min(top, z))
-                for t in unrecorded[i:j]:
-                    self.suffix_counts[t] = count - start
-                    insort(self._recorded, t)
-                del unrecorded[i:j]
-            if top > z:
-                break
-            marks.pop()
-            below = top
-        marks.append([z, count, 0])
-        # the widest recorded region p enters; lam is its box's λ positions,
-        # none when there is no such region, which leaves the plain step
-        i = bisect_right(self._recorded, z)
-        s = self._recorded[i - 1] if i else 0
-        lam = (1 << s) - 1
-        # a box holding the region wins: a cache hit, else the database's
-        # smallest-index box, which means p's prefix falsifies a clause
-        b = self.cache.find_containing(p)
-        if b is not None and not b.mask & lam:
-            return "cache", b
-        d = self.database.smallest_containing(p)
-        if d is not None and not d.mask & lam:
-            self._cache_insert(d, "database")
-            return "database", d
-        if b is None and d is None and not (g := self._gap_box(p)).mask & lam:
-            source, b = "model", g
-            self._count_models(g)
-        else:
-            source, b = "component", Box(self.n, p.mask ^ lam, pv)
-            self.model_count += self.suffix_counts[s]
-        self._cache_insert(b, source)
-        # the counted box holds the whole region of every cut past its index
-        marks[-1][2] = b.lambda_count
-        return source, b
-
     def step(self) -> bool:
         """One sweep iteration; returns False once the run is finished."""
         if self.done:
             return False
         p = self.probe
-        if self._entry and not p.val & self._entry:
-            source, b = self._region_step(p)
-        else:
-            source = "cache"
-            b = self.cache.find_containing(p)
-            if b is None:
-                # the smallest-index hit advances the probe furthest; it is
-                # the one worth caching
-                b = self.database.smallest_containing(p)
-                if b is not None:
-                    source = "database"
-                    self._cache_insert(b, "database")
-                else:
-                    source = "model"
-                    b = self._gap_box(p)
-                    if not self._count_models(b):
-                        return False
-                    self._cache_insert(b, "model")
+        pv, lam = p.val, 0
+        if self._entry and not pv & self._entry:
+            # p enters the region of at least one cut.  Close the region of
+            # every cut of length s <= z: read from the top, if models were
+            # counted since a mark's count, each cut not yet recorded up to
+            # its z records them as its c_a.  Then one mark opens p's regions.
+            count, marks = self.model_count, self._marks
+            lengths, known = self._lengths, self._known
+            z = (pv & -pv).bit_length() - 1 if pv else self.n  # trailing F count
+            while marks:
+                top, start = marks[-1]
+                if start < count:
+                    j = bisect_right(lengths, min(top, z))
+                    for t in lengths[known:j]:
+                        self.suffix_counts[t] = count - start
+                    known = max(known, j)
+                if top > z:
+                    break
+                marks.pop()
+            self._known = known
+            marks.append((z, count))
+            # the widest recorded region p enters; lam is its box's λ positions
+            i = bisect_right(lengths, z, 0, known)
+            if i:
+                lam = (1 << lengths[i - 1]) - 1
+        source = "cache"
+        b = self.cache.find_containing(p)
+        if b is None or b.mask & lam:
+            # the smallest-index hit advances the probe furthest; it is the
+            # one worth caching
+            b = self.database.smallest_containing(p)
+            if b is not None and not b.mask & lam:
+                source = "database"
+            elif lam:
+                source, b = "component", Box(self.n, p.mask ^ lam, pv)
+                self.model_count += self.suffix_counts[lam.bit_length()]
+            else:
+                source, b = "model", self._gap_box(p)
+                if not self._count_models(b):
+                    return False
+            self._cache_insert(b, source)
         # Every cascade box contains p: each partner waiting in ``left``
         # agrees with p wherever it is fixed but at the pivot, which the
         # resolvent sets to λ.  So advancing past one depends only on its

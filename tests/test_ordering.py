@@ -458,16 +458,25 @@ class TestComponentsContiguous:
             for name, strategy in ORDERING_STRATEGIES.items():
                 assert build_order(problem, name) == strategy(problem), name
 
-    def test_one_statistics_pass(self, monkeypatch):
+    def test_one_statistics_pass(self, monkeypatch, tmp_path, capsys):
         # the components come from the pass the strategy reads, not a second
-        # pass over the clauses
+        # pass over the clauses; ``boxsat stats`` hands its own pass on
         import boxsat.ordering as ordering
+        from boxsat.cli import EXIT_OK, main
+        from boxsat.cnf import write_dimacs
 
         passes = []
         real = ordering._variable_sets
         monkeypatch.setattr(ordering, "_variable_sets", lambda cnf: passes.append(cnf) or real(cnf))
         problem, _ = planted_components(random.Random(0xC3), [3, 4, 2], 2)
+        path = tmp_path / "parts.cnf"
+        with open(path, "w") as out:
+            write_dimacs(problem, out)
         for name in ORDERING_STRATEGIES:
             passes.clear()
             build_order(problem, name)
             assert len(passes) == 1, name
+            passes.clear()
+            assert main(["stats", str(path), "--ordering", name]) == EXIT_OK
+            assert len(passes) == 1, name
+        assert "components 3" in capsys.readouterr().out.splitlines()

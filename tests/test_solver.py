@@ -1164,18 +1164,10 @@ def region_counts(cnf: CnfProblem, order: VariableOrder, s: int) -> set[int]:
     return set(Counter(r >> s for r in ranks).values())
 
 
-def count_sweep(cnf: CnfProblem, config: SolverConfig, every_cut: bool = False,
-                **kwargs) -> SolverState:
-    """A count-mode ``SolverState`` over ``cnf``'s merged database, traced.
-    With ``every_cut``, the database reports as cuts the positions past
-    every clause box's last fixed one too, which ``BoxDatabase.cuts``
-    leaves out: they are cuts as well, but the gap boxes span them."""
+def count_sweep(cnf: CnfProblem, config: SolverConfig, **kwargs) -> SolverState:
+    """A count-mode ``SolverState`` over ``cnf``'s merged database, traced."""
     order = build_order(cnf, config.ordering)
     db = build_database(cnf, order, lambda_skip=config.lambda_skip)
-    if every_cut:
-        fixed = [[i for i, t in enumerate(b.trits) if t is not Trit.LAMBDA] for b in db.boxes()]
-        cuts = [a for a in range(1, db.n) if not any(f and f[0] < a <= f[-1] for f in fixed)]
-        db.cuts = lambda: cuts
     return SolverState(cnf.variable_count, db, config, trace=SweepTrace(), **kwargs)
 
 
@@ -1186,7 +1178,7 @@ class TestSuffixCounts:
     def test_counts_match_the_oracle(self):
         rng = random.Random(0x5CC)
         regions = runs = 0
-        for _ in range(120):
+        for _ in range(200):
             cnf = component_cnf(rng, rng.randint(1, 12))
             want = brute_count(cnf)
             for name in ORDERING_STRATEGIES:
@@ -1195,17 +1187,23 @@ class TestSuffixCounts:
                     for ratio in (0.0, 0.45, 1.0):
                         config = SolverConfig(insertion_ratio=ratio, ordering=name, lambda_skip=skip)
                         assert run(cnf, config).count == want
-                        # the unconstrained tail's cuts bring gap boxes
-                        # that hold whole regions, and outer region boxes
-                        for every_cut in (False, True):
-                            state = count_sweep(cnf, config, every_cut)
-                            state.run_loop()
-                            assert state.model_count == want, (name, skip, ratio)
-                            for s, c in state.suffix_counts.items():
-                                assert region_counts(cnf, order, s) == {c}
-                            regions += sum(src == "component" for _, src, _ in state.trace.steps)
+                        state = count_sweep(cnf, config)
+                        cuts = state.database.cuts()
+                        lengths = sorted(cnf.variable_count - a for a in cuts)
+                        while not state.done:
+                            state.step()
+                            # shorter cuts are recorded first, and no gap box
+                            # is as wide as the smallest region
+                            recorded = lengths[:len(state.suffix_counts)]
+                            assert set(state.suffix_counts) == set(recorded)
+                            _, src, b = state.trace.steps[-1]
+                            assert src != "model" or not cuts or b.lambda_count < lengths[0]
+                        assert state.model_count == want, (name, skip, ratio)
+                        for s, c in state.suffix_counts.items():
+                            assert region_counts(cnf, order, s) == {c}
+                        regions += sum(src == "component" for _, src, _ in state.trace.steps)
                         runs += 1
-        assert runs == 120 * len(ORDERING_STRATEGIES) * 6
+        assert runs == 200 * len(ORDERING_STRATEGIES) * 6
         assert regions > 4000
 
     def test_count_mode_with_a_sink_streams_every_model(self):
@@ -1256,30 +1254,28 @@ class TestSuffixCounts:
         assert state.database.cuts() == []
         state.run_loop()
         assert state.model_count == 48 and not state.suffix_counts
-        # Reported as cuts, they are still cuts.  The gap box FT---- counts
-        # 16 models at the probe that opens regions of cuts 3..5 too; those
-        # regions are spoilt, so only c_2 = 16 is recorded, not 16 for the
-        # inner cuts, whose suffixes hold 8, 4 and 2.
-        state = count_sweep(CnfProblem(6, [Clause([1, 2])]), SolverConfig(ordering="naive-degree"),
-                            every_cut=True)
-        assert state.database.cuts() == [2, 3, 4, 5]
+        # (x1 v x2)(x3 v x4): position 2 is a cut, and the region FT--
+        # records c_2 = 3, the models of (x3 v x4); the regions TF-- and
+        # TT-- then take one step each
+        state = count_sweep(CnfProblem(4, [Clause([1, 2]), Clause([3, 4])]),
+                            SolverConfig(ordering="naive-degree"))
+        assert state.database.cuts() == [2]
         state.run_loop()
-        assert state.model_count == 48
-        assert state.suffix_counts == {4: 16}
+        assert state.model_count == 9
+        assert state.suffix_counts == {2: 3}
+        assert [(src, b) for _, src, b in state.trace.steps[-2:]] == [
+            ("component", B("TF--")), ("component", B("TT--"))]
 
     def test_double_miss_takes_the_wider_gap_box(self):
-        # with the unconstrained positions 2..5 reported as cuts, c_2 = 16
-        # is recorded in the region FT----; in the region TF---- the probe
-        # TFFFFF misses both tries, and its gap box T----- holds the region
-        # and more
-        for every_cut in (False, True):
-            state = count_sweep(CnfProblem(6, [Clause([1, 2, 6]), Clause([1, 2])]),
-                                SolverConfig(ordering="naive-degree"), every_cut)
-            state.run_loop()
-            assert state.model_count == 48
-            assert state.suffix_counts == ({4: 16} if every_cut else {})
-            assert [(src, b) for _, src, b in state.trace.steps] == [
-                ("database", B("FF----")), ("model", B("FT----")), ("model", B("T-----"))]
+        # the probe TFFFFF misses both tries, and its gap box T----- takes
+        # the rest of the space in one step
+        state = count_sweep(CnfProblem(6, [Clause([1, 2, 6]), Clause([1, 2])]),
+                            SolverConfig(ordering="naive-degree"))
+        state.run_loop()
+        assert state.model_count == 48
+        assert state.suffix_counts == {}
+        assert [(src, b) for _, src, b in state.trace.steps] == [
+            ("database", B("FF----")), ("model", B("FT----")), ("model", B("T-----"))]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_entry_prefers_the_database_box(self, seed):
