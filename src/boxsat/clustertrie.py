@@ -16,29 +16,30 @@ precomputed per-input row listing every slot that could contain the input's
 sub-box.  One intersection therefore replaces up to 16 individual trie-edge
 probes.  The rows are derived from the same 4-bit (mask, val) slot fields
 the walks read, plus each slot's sub-box length.  Chains of clusters
-holding no boxes and only the all-λ child are hopped over without touching
-the masks (the λ-skip).
+holding no boxes and only the all-λ child are passed through without
+touching the masks (the λ-skip).
 
 Every walk loops over an explicit stack or per-depth lists of clusters, so
 formula width is bounded by memory, not by Python's recursion limit.  A
 walk shifts the query's (mask, val) bits up by the λ padding that fills the
 last cluster, so every depth's field is one 4-bit read at a fixed shift,
-ranked through one table.  Only the last depth's field gains λs, at its end, and every box
-stored there is no longer than the unpadded field, so it contains the
-padded field exactly when it contains the unpadded one.  Each cluster
-knows its depth and the (mask, val) bits of the slots on its path, set
-once when it is created, so a walk pushes bare clusters and the witness
+ranked through one table.  Only the last depth's field gains λs, at its
+end, and every box stored there is no longer than the unpadded field, so it
+contains the padded field exactly when it contains the unpadded one.  Each
+cluster knows its depth and the (mask, val) bits of the slots on its path,
+set once when it is created, so a walk pushes bare clusters and the witness
 box is the path plus the hit slot's 4-bit field, shifted into place.
-Besides "some containing box" (``find_containing``) and "every containing
-box" (``all_containing``), both depth-first, the trie answers "the
-containing box with the smallest index" (``smallest_containing``) by a walk
-that reads one depth at a time and stops at the first depth with a hit.  It
-keeps its last walk's per-depth cluster lists and resumes at the first depth
-where the next query differs, so a query sharing a long prefix with the
-last one reads only the depths below that prefix.  After a miss, the same
-memo gives the deepest position at which a stored box first fails to
-contain the query (``miss_depth``), through a table of each slot's first
-such offset per query field.
+
+The trie answers two questions, for points and boxes alike.
+``find_containing`` gives the containing box with the smallest index, by a
+walk that reads one depth at a time and stops at the first depth with a
+hit.  It keeps its last walk's per-depth cluster lists and resumes at the
+first depth where the next query differs, or where a store since changed a
+mask it read, so a query sharing a long prefix with the last one reads only
+the depths below that prefix.  After a miss, the same memo gives the
+deepest position at which a stored box first fails to contain the query
+(``miss_depth``), through a table of each slot's first such offset per
+query field.  ``all_containing`` gives every containing box, depth-first.
 """
 
 from __future__ import annotations
@@ -179,21 +180,16 @@ class BoxDatabase:
     one is stored once, and ``len`` counts the boxes ``boxes()`` yields.
 
     Each cluster carries its own depth and path bits, so nothing is
-    computed per push.  ``find_containing`` and ``all_containing`` pop
-    clusters off an explicit stack; children are pushed highest slot first,
-    so clusters pop depth-first in increasing slot order.  Such a query
-    first hops the popped cluster's λ-skip chain (clusters on the last
-    depth have no children, so a hop never runs past it), then reads the
-    query's rank at that depth and intersects.  ``smallest_containing``
-    walks the same order one depth at a time, reading the query's rank once
-    per depth.  The queries inline their walks instead of calling shared
-    helpers per cluster: this is the sweep's innermost loop, and those calls
-    made the ``blocks`` sweep about a third slower.
-
-    The trie keeps its all-λ chain (the root, its slot-40 child, that
-    child's slot-40 child, ...) as a list, extended when such a cluster is
-    made, so ``find_containing`` can index it to start below the chain
-    clusters that its memo of the last point query says miss.
+    computed per push.  ``all_containing`` pops clusters off an explicit
+    stack; children are pushed highest slot first, so clusters pop
+    depth-first in increasing slot order.  It first hops the popped
+    cluster's λ-skip chain (clusters on the last depth have no children, so
+    a hop never runs past it), then reads the query's rank at that depth and
+    intersects.  ``find_containing`` walks the same order one depth at a
+    time, reading the query's rank once per depth.  The queries inline their
+    walks instead of calling shared helpers per cluster: this is the sweep's
+    innermost loop, and those calls made the ``blocks`` sweep about a third
+    slower.
     """
 
     def __init__(self, n: int, lambda_skip: bool = True):
@@ -202,26 +198,21 @@ class BoxDatabase:
         self.n = n
         self.lambda_skip = lambda_skip
         self.root = Cluster()
-        self._chain = [self.root]  # the all-λ chain, by depth
         self.box_count = 0
         self.cluster_visits = 0  # clusters whose masks were intersected
-        # ``smallest_containing``'s last walk: its padded query, each depth's
-        # cluster list down to where it stopped, and its answer; None until
-        # the first walk and after every change to the trie
-        self._levels: list[list[Cluster]] | None = None
-        self._last_mask = self._last_val = 0
-        self._last_hit: Box | None = None
         self._tables = build_lookup_tables()
         last = max(0, (n - 1) // CLUSTER_SPAN)
         # positions the path space carries past n, all λ
         self._pad = CLUSTER_SPAN * (last + 1) - n
         # per depth, the shift of its 4-bit field in the padded bits
         self._shifts = tuple(range(CLUSTER_SPAN * last, -1, -CLUSTER_SPAN))
-        self._full = ((1 << n) - 1) << self._pad  # a point's padded mask
-        # ``find_containing``'s memo: its last point query (padded bits) and
-        # how many leading chain clusters hold no box containing it
-        self._point = 0
-        self._clear = 0
+        # ``find_containing``'s last walk: its padded query, each depth's
+        # cluster list down to where it stopped, and its answer; and the
+        # depth the next walk resumes at, at the latest, which a store lowers
+        self._levels: list[list[Cluster]] = [[self.root]]
+        self._last_mask = self._last_val = 0
+        self._last_hit: Box | None = None
+        self._resume = 0
 
     def __len__(self) -> int:
         return self.box_count
@@ -259,11 +250,7 @@ class BoxDatabase:
     # -- operations ------------------------------------------------------
 
     def insert(self, b: Box) -> None:
-        # the containment check is not a probe: it leaves the memo as it was
-        memo = self._point, self._clear
-        found = self.find_containing(b)
-        self._point, self._clear = memo
-        if found is None:  # otherwise already covered; leave the structure untouched
+        if self.find_containing(b) is None:  # otherwise already covered; leave the structure untouched
             self.add_uncovered(b)
 
     def add_uncovered(self, b: Box) -> None:
@@ -272,6 +259,12 @@ class BoxDatabase:
         ``b`` may lie inside a stored box: the trie then holds a box it does
         not need, and every query still answers with a stored box.  A box
         equal to a stored one finds its slot bit set and changes nothing.
+
+        A store changes masks at depth k and below, k being the parent of
+        the first cluster it makes, or else the cluster whose box bit it
+        sets.  ``find_containing``'s lists down to depth k depend only on
+        masks above k, so they stand; if its last walk read depth k, the
+        lists below k go and the next walk resumes at k at the latest.
         """
         self._check_length(b)
         k = b.index
@@ -280,117 +273,32 @@ class BoxDatabase:
         pad, shifts, ranks = self._pad, self._shifts, _FIELD_RANKS[CLUSTER_SPAN]
         mask, val = b.mask << pad, b.val << pad
         cluster = self.root
+        changed = terminal  # the shallowest depth whose masks change
         for d in range(terminal):
             shift = shifts[d]
             slot = ranks[((mask >> shift) & 15) << 4 | ((val >> shift) & 15)]
             child = cluster.children.get(slot)
             if child is None:
+                changed = min(changed, d)
                 child = Cluster(d + 1, cluster.mask << CLUSTER_SPAN | _SLOT_MASK[slot],
                                 cluster.val << CLUSTER_SPAN | _SLOT_VAL[slot])
                 cluster.children[slot] = child
                 cluster.children_mask |= 1 << slot
-                if not child.mask:  # only slot 40 is all λ: cluster ends the chain
-                    self._chain.append(child)
             cluster = child
         # the trimmed field: up to and including the box's last non-λ
         length = k - CLUSTER_SPAN * terminal
         shift = self.n + pad - k
         width = (1 << length) - 1
         bit = 1 << _FIELD_RANKS[length][((mask >> shift) & width) << 4 | ((val >> shift) & width)]
-        if cluster.boxes_mask & bit:  # stored before, which lowered ``_clear`` then
+        if cluster.boxes_mask & bit:  # stored before; then no cluster was made either
             return
-        self._levels = None  # the trie changes: drop the level walk's memo
         cluster.boxes_mask |= bit
-        if not cluster.mask and cluster.depth < self._clear:  # a chain cluster
-            self._clear = cluster.depth
         self.box_count += 1
+        if changed < len(self._levels):
+            del self._levels[changed + 1:]
+            self._resume = changed
 
     def find_containing(self, q: Box) -> Box | None:
-        """Some stored box containing ``q``, or None.
-
-        Greedy per cluster: the lowest hit slot, which is the hit with the
-        smallest index, wins outright; otherwise matching children are
-        scanned in increasing slot order and the first hit found below is
-        returned.
-
-        The trie remembers its last point query p and how many leading
-        clusters of the all-λ chain (root, its slot-40 child, that child's
-        slot-40 child, ...) hold no box containing p: the hit's depth after
-        a hit on the chain, and every one, including chain clusters not yet
-        made, after a miss or a hit off the chain.  ``add_uncovered`` lowers
-        that count to the depth of any chain cluster it stores into.  A
-        chain cluster's boxes fix only its own four positions, so one that
-        misses p misses every query that fixes no position there to a value
-        p does not.  The walk hops the chain clusters before both the count
-        and the first position where ``q`` fixes a value p does not, without
-        reading their masks, and starts at the chain cluster below them;
-        only if nothing is found there does it go back up, deepest first,
-        for their other children.  The all-λ child has the lowest child
-        slot, so that is the order the unhinted walk takes: the answer is
-        the same, with fewer clusters visited.  A box query is not
-        remembered, since a box its walk misses may still contain a point
-        inside it; ``insert``'s containment check leaves the memo as it was.
-        """
-        if q.n != self.n:  # ``_check_length``, inline on the sweep's hottest call
-            raise BoxError(f"box length {q.n} != database length {self.n}")
-        pad, shifts, ranks = self._pad, self._shifts, _FIELD_RANKS[CLUSTER_SPAN]
-        qm, qv, skip = q.mask << pad, q.val << pad, self.lambda_skip
-        box_tab, child_tab = self._tables.box_containers, self._tables.child_containers
-        chain = self._chain
-        visits = 0
-        # chain clusters hopped: those wholly before the first position where
-        # q fixes a value p does not, capped by the memo's count and the chain
-        d = (self.n + pad - (qm & (qv ^ self._point)).bit_length()) // CLUSTER_SPAN
-        if d > self._clear:
-            d = self._clear
-        if d > len(chain):
-            d = len(chain)
-        point = qm == self._full
-        stack = chain[d:d + 1]
-        while True:
-            while stack:
-                cluster = stack.pop()
-                if skip:
-                    while not cluster.boxes_mask and cluster.children_mask == _ALL_LAMBDA_CHILD_BIT:
-                        cluster = cluster.children[CHILD_SLOT_LOW]
-                visits += 1
-                shift = shifts[cluster.depth]
-                rank = ranks[((qm >> shift) & 15) << 4 | ((qv >> shift) & 15)]
-                hits = cluster.boxes_mask & box_tab[rank]
-                if hits:
-                    self.cluster_visits += visits
-                    if point:  # the chain clusters above a chain hit missed q; off it, all did
-                        self._point = qv
-                        self._clear = len(shifts) if cluster.mask else cluster.depth
-                    return self._witness(cluster, (hits & -hits).bit_length() - 1)
-                kids = cluster.children_mask & child_tab[rank]
-                children = cluster.children
-                while kids:
-                    slot = kids.bit_length() - 1
-                    kids ^= 1 << slot
-                    stack.append(children[slot])
-            if not d:
-                break
-            # a hopped cluster: its boxes miss q and its all-λ child is
-            # searched, so only its other children are left
-            d -= 1
-            cluster = chain[d]
-            kids = cluster.children_mask & ~_ALL_LAMBDA_CHILD_BIT
-            if kids:
-                visits += 1
-                shift = shifts[cluster.depth]
-                kids &= child_tab[ranks[((qm >> shift) & 15) << 4 | ((qv >> shift) & 15)]]
-                children = cluster.children
-                while kids:
-                    slot = kids.bit_length() - 1
-                    kids ^= 1 << slot
-                    stack.append(children[slot])
-        self.cluster_visits += visits
-        if point:
-            self._point, self._clear = qv, len(shifts)
-        return None
-
-    def smallest_containing(self, q: Box) -> Box | None:
         """The stored box with the smallest index containing ``q``, or None.
 
         Equals ``min(self.all_containing(q), key=lambda b: b.index)``, ties
@@ -404,30 +312,32 @@ class BoxDatabase:
 
         The walk keeps its last query, each depth's list, and the box it
         returned.  A depth's list depends only on the query's positions at
-        earlier depths, and the walk read a depth's field only if every
-        earlier depth missed.  So if the next query first changes at depth
-        c, every list down to c is still its list and every depth above c
-        still misses: past the stop depth the last box is again the answer,
-        and otherwise the walk resumes at c.  ``add_uncovered``, the one
-        path that changes the trie, drops the memo, so this holds for any
-        sequence of queries.
+        earlier depths and on the masks of earlier depths' clusters, and the
+        walk read a depth's field only if every earlier depth missed.  So if
+        the next query first changes at depth c, every list down to c is
+        still its list and every depth above c still misses: past the stop
+        depth the last box is again the answer, and otherwise the walk
+        resumes at c.  A store that changes masks at a depth the walk read
+        resumes the next walk there at the latest (see ``add_uncovered``); a
+        store below the stop depth changes no mask the walk read.  So this
+        holds for any sequence of queries and stores.
         """
-        self._check_length(q)
+        if q.n != self.n:  # ``_check_length``, inline on the sweep's hottest call
+            raise BoxError(f"box length {q.n} != database length {self.n}")
         pad = self._pad
         qm, qv = q.mask << pad, q.val << pad
         changed = (qm ^ self._last_mask) | (qv ^ self._last_val)
         self._last_mask, self._last_val = qm, qv
+        # the depth of the first changed position; past every depth when none is
+        d = (self.n + pad - changed.bit_length()) // CLUSTER_SPAN
+        if d > self._resume:
+            d = self._resume
         levels = self._levels
-        if levels is None:
-            levels = self._levels = [[self.root]]
-            d = 0
-        else:
-            # the depth of the first changed position; past every depth when none is
-            d = (self.n + pad - changed.bit_length()) // CLUSTER_SPAN
-            if d >= len(levels):
-                return self._last_hit
-            del levels[d + 1:]
+        if d >= len(levels):
+            return self._last_hit
+        del levels[d + 1:]
         shifts, ranks, skip = self._shifts, _FIELD_RANKS[CLUSTER_SPAN], self.lambda_skip
+        self._resume = len(shifts)
         box_tab, child_tab = self._tables.box_containers, self._tables.child_containers
         visits = 0
         while True:
@@ -464,10 +374,10 @@ class BoxDatabase:
         return hit
 
     def miss_depth(self) -> int | None:
-        """After a ``smallest_containing`` miss, the deepest position at
-        which a stored box first fails to contain that query (for a point,
-        the first position where the box fixes the other value); None when
-        the trie holds no box.
+        """After a ``find_containing`` miss, the deepest position at which a
+        stored box first fails to contain that query (for a point, the first
+        position where the box fixes the other value); None when the trie
+        holds no box.
 
         Read off the missed walk's memo, with no walk of its own.  The walk
         stopped at its last depth D because every box slot and child slot
@@ -476,12 +386,14 @@ class BoxDatabase:
         earlier depth, so it fails before position 4D.  So the answer is 4D
         plus the largest offset, over D's set slots, of a slot's first
         position not containing the query's field.  A later query that
-        ``smallest_containing`` answers from the memo shares D's field, so
-        the answer stands for it too.
+        ``find_containing`` answers from the memo shares D's field, so the
+        answer stands for it too.  A store that cut the memo (see
+        ``add_uncovered``) may have changed D's slots, so after one the call
+        refuses until the next walk; a store below D leaves them as they were.
         """
         levels = self._levels
-        if levels is None or self._last_hit is not None:
-            raise BoxError("miss_depth needs a smallest_containing miss since the last store")
+        if self._last_hit is not None or self._resume < len(levels):
+            raise BoxError("miss_depth needs a find_containing miss since the last store into its walk")
         d = len(levels) - 1
         seen = 0
         for cluster in levels[d]:

@@ -11,10 +11,10 @@ cascade's last box covers.  The run ends on one condition: the probe walks
 off the end of the space.  Only the all-λ box carries it there, since any
 other last box ends in F, as the probe does at that position.
 
-Each cache query hops the all-λ chain clusters that the cache's last point
-query missed and this probe cannot fall into (see
-``BoxDatabase.find_containing``), and the database read,
-``smallest_containing``, resumes through its own memo of its last walk.
+The cache and the clause database answer the same question through the
+same walk: ``BoxDatabase.find_containing`` gives the stored box with the
+smallest index containing the probe, and resumes through its own memo of
+its last walk, which a store cuts back only to the depth it changes.
 
 The step's box arithmetic runs on ints through the ``boxes`` functions,
 but the calls a traced run wraps by name, and whose counts it divides by,
@@ -27,11 +27,17 @@ database's ``all_containing`` too, which the sweep never calls.  ``left``,
 Resolved boxes enter the cache only when their λ fraction reaches the
 configured insertion ratio; caching everything bloats the trie faster than
 it saves probe work.  Every box the sweep caches is stored by
-``add_uncovered``, with no containment walk first.  A database or model box
-holds the probe that the cache just missed, so no cache box contains it.  A
-resolvent may lie inside a cache box already; storing it anyway costs at
-most a redundant box, and every answer stays sound, since every point in it
-is already settled.
+``add_uncovered``, with no containment walk first, and none lies inside a
+cache box already.  The step's box b (from the database, a region or a
+model) holds the probe p, and so does every resolvent R of its cascade,
+with index(R) < index(b).  A cache box C containing b or R fixes a subset
+of its positions, so C contains p and index(C) <= index(b); C was cached
+before this step, since the step's earlier boxes all have larger indices.
+So C is a cache hit for p, and the cache did not miss.  Nor did the λ
+test below turn the smallest hit down: b then fixes no λ position, so
+index(C) <= index(b) <= n - |λ| and C fixes none either.  And a cache box
+containing a resolvent of a cache hit b has index(C) < index(b), so b was
+not the smallest hit.
 
 Gap boxes: a probe p that misses both the cache and the clause database
 widens to the model box G, p with its last j positions set to λ.  Here j
@@ -78,15 +84,17 @@ counted since a region of an unrecorded cut opened are all its own, and
 the recorded lengths are always the shortest ones.
 
 Each step sets λ: the positions of the widest recorded region the probe p
-enters, or none.  It takes the first of these that applies: a cache hit
-that fixes no λ position; the database's smallest-index box that fixes
-none, which means x falsifies a prefix box and which the step prefers to a
-deeper cache hit; the region box x·λ^(n-a) adding c_a, if λ is set; the
+enters, or none.  It takes the first of these that applies: the smallest
+cache hit, if it fixes no λ position; the database's smallest-index box
+that fixes none, which means x falsifies a prefix box and which the step
+prefers to a deeper cache hit; the region box x·λ^(n-a) adding c_a, if λ is set; the
 gap box.  With no λ this is the plain step.  The region box is cached as
 ``"component"`` and cascades and advances like any box containing p: its
 points are all settled, and it starts at p, after every point counted
 before.  So a timed-out count is still exact for the points before the
-probe.
+probe.  The λ test is exact: λ covers p's last positions, so a box fixes
+one of them exactly when its index passes n - |λ|, and if the smallest
+hit does, every hit does.
 
 ``run`` streams each model box as signed-literal tuples through
 ``cnf.literal_models``, whose template is each box's own prefix: the
@@ -336,7 +344,7 @@ class SolverState:
         if b is None or b.mask & lam:
             # the smallest-index hit advances the probe furthest; it is the
             # one worth caching
-            b = self.database.smallest_containing(p)
+            b = self.database.find_containing(p)
             if b is not None and not b.mask & lam:
                 source = "database"
             elif lam:

@@ -438,86 +438,15 @@ class TestDifferential:
             for q in self.queries(rng, n, stored):
                 lin = linear_containing(stored, q)
                 hit = db.find_containing(q)
-                assert (hit is None) == (not lin)
-                if hit is not None:
-                    assert hit in lin
                 shown = db.all_containing(q)
-                smallest = db.smallest_containing(q)
                 if lin:
-                    assert smallest == min(shown, key=lambda b: b.index)
-                    assert smallest.index == min(b.index for b in lin)
+                    assert hit in lin
+                    assert hit == min(shown, key=lambda b: b.index)
+                    assert hit.index == min(b.index for b in lin)
                 else:
-                    assert smallest is None and shown == []
+                    assert hit is None and shown == []
                 full = db.all_containing(q, include_shadowed=True)
                 assert sorted(map(repr, full)) == sorted(map(repr, lin))
-
-    def test_settled_hop_matches_the_full_walk(self):
-        rng = random.Random(98)
-        hopped = 0
-        for trial in range(240):
-            n = 1 + trial % 40
-            db, stored = self.build(rng, n, lambda_skip=bool(trial % 3))
-            # boxes behind a λ prefix of random length lengthen the all-λ chain
-            for _ in range(rng.randint(0, 12)):
-                keep = (1 << rng.randint(1, n)) - 1
-                b = random_box(rng, n, lambda_weight=rng.choice((1, 2, 4)))
-                b = Box(n, b.mask & keep, b.val & keep)
-                if not any(s.contains(b) for s in stored):
-                    stored.append(b)
-                db.insert(b)
-            for q in self.queries(rng, n, stored):
-                # depth of the first all-λ-chain cluster holding a box that
-                # contains q: a chain box at depth d fixes nothing before 4d
-                first = n
-                for b in linear_containing(stored, q):
-                    d = max(b.index - 1, 0) // 4
-                    if not b.mask >> (n - 4 * d):
-                        first = min(first, d)
-                want, full_visits, _ = forgetful_find(db, q)
-                for settled in range(min(n, 4 * first + 3) + 1):
-                    got, visits = settled_find(db, q, settled)
-                    assert got == want, (q, settled)
-                    assert visits <= full_visits
-                    hopped += visits < full_visits
-        assert hopped > 1000
-
-    def test_settled_hop_while_the_chain_grows(self):
-        # inserts and hopped walks interleave, so the all-λ chain gains
-        # clusters between queries; settled runs past both ends of its range
-        rng = random.Random(99)
-        hopped = past_chain = 0
-        for trial in range(120):
-            n = 1 + trial % 40
-            db = BoxDatabase(n, lambda_skip=bool(trial % 3))
-            stored = []
-            for _ in range(3):
-                for _ in range(rng.randint(0, 8)):
-                    keep = (1 << rng.randint(1, n)) - 1 if rng.random() < 0.6 else -1
-                    b = random_box(rng, n, lambda_weight=rng.choice((1, 2, 4)))
-                    b = Box(n, b.mask & keep, b.val & keep)
-                    if not any(s.contains(b) for s in stored):
-                        stored.append(b)
-                    db.insert(b)
-                chain = slot40_chain(db)
-                assert db._chain == chain
-                for q in self.queries(rng, n, stored):
-                    lin = linear_containing(stored, q)
-                    first = None  # depth of the first chain cluster holding a hit
-                    for b in lin:
-                        d = max(b.index - 1, 0) // 4
-                        if not b.mask >> (n - 4 * d):
-                            first = d if first is None else min(first, d)
-                    want, full_visits, _ = forgetful_find(db, q)
-                    assert (want is None) == (not lin)
-                    for settled in range(-3, n + 9):
-                        if first is not None and max(settled, 0) // 4 > first:
-                            continue  # the memo would be wrong
-                        got, visits = settled_find(db, q, settled)
-                        assert got == want, (q, settled)
-                        assert visits <= full_visits
-                        hopped += visits < full_visits
-                        past_chain += max(settled, 0) // 4 >= len(chain)
-        assert hopped > 1000 and past_chain > 1000
 
     def test_all_lambda_box_sits_in_root_slot_0(self):
         for n in range(10):
@@ -536,7 +465,7 @@ class TestDifferential:
                 db.insert(b)
             q = Box.point(8, 0)
             assert db.all_containing(q) == [first, second]
-            assert db.smallest_containing(q) == first
+            assert db.find_containing(q) == first
 
     def test_smallest_prefers_shallower_cluster(self):
         db = BoxDatabase(9, lambda_skip=False)
@@ -544,54 +473,35 @@ class TestDifferential:
         shallow = B("---F-----")
         db.insert(deep)
         db.insert(shallow)
-        assert db.smallest_containing(Box.point(9, 0)) == shallow
-        assert db.smallest_containing(B("FFFFFTTTT")) == shallow
+        assert db.find_containing(Box.point(9, 0)) == shallow
+        assert db.find_containing(B("FFFFFTTTT")) == shallow
 
     def test_smallest_all_lambda(self):
         for n in (0, 1, 5):
             db = BoxDatabase(n)
-            assert db.smallest_containing(Box.point(n, 0)) is None
+            assert db.find_containing(Box.point(n, 0)) is None
             db.insert(Box.all_lambda(n))
-            assert db.smallest_containing(Box.point(n, 0)) == Box.all_lambda(n)
-
-
-def slot40_chain(db: BoxDatabase) -> list:
-    """The all-λ chain found by descending slot-40 children from the root."""
-    chain = [db.root]
-    while CHILD_SLOT_LOW in chain[-1].children:
-        chain.append(chain[-1].children[CHILD_SLOT_LOW])
-    return chain
+            assert db.find_containing(Box.point(n, 0)) == Box.all_lambda(n)
 
 
 def forgetful_find(db: BoxDatabase, q: Box):
-    """``db``'s answer and cluster visits for ``q`` with its memo cleared,
-    and the memo that walk leaves; ``db``'s own memo is left as it was."""
-    memo = db._point, db._clear
-    db._clear = 0
+    """``db``'s answer and cluster visits for ``q`` walked from the root, and
+    the per-depth cluster lists that walk builds; ``db``'s own memo is left
+    as it was."""
+    memo = list(db._levels), db._last_mask, db._last_val, db._last_hit, db._resume
+    db._resume = 0
     before = db.cluster_visits
     got = db.find_containing(q)
     visits = db.cluster_visits - before
-    left = db._point, db._clear
-    db._point, db._clear = memo
-    return got, visits, left
-
-
-def settled_find(db: BoxDatabase, q: Box, settled: int) -> tuple:
-    """``db``'s answer and cluster visits for ``q`` with its memo set to say
-    that the all-λ chain clusters wholly before position ``settled`` miss
-    ``q``; ``db``'s own memo is left as it was."""
-    memo = db._point, db._clear
-    db._point, db._clear = q.val << db._pad, max(settled, 0) // CLUSTER_SPAN
-    before = db.cluster_visits
-    got = db.find_containing(q)
-    visits = db.cluster_visits - before
-    db._point, db._clear = memo
-    return got, visits
+    walked = list(db._levels)
+    db._levels, db._last_mask, db._last_val, db._last_hit, db._resume = memo
+    return got, visits, walked
 
 
 class TestChainMemo:
-    """``find_containing`` hops the all-λ chain clusters its memo of the last
-    point query says miss; every answer is the walk's from the root."""
+    """``find_containing`` resumes through its memo of the last walk, which
+    stores cut back to the depth they change; every answer is the walk's
+    from the root, and the kept lists are the ones that walk builds."""
 
     def near_point(self, rng, p: Box) -> Box:
         """A point sharing a prefix of random length with ``p``, as a
@@ -609,7 +519,8 @@ class TestChainMemo:
 
     def chain_box(self, rng, p: Box) -> Box:
         """A box fixing positions of one cluster only, so it is stored on the
-        all-λ chain; it holds ``p`` unless one value is flipped."""
+        all-λ chain, where λ-skip passes clusters through; it holds ``p``
+        unless one value is flipped."""
         n = p.n
         first = CLUSTER_SPAN * rng.randrange((n + CLUSTER_SPAN - 1) // CLUSTER_SPAN)
         field = min(CLUSTER_SPAN, n - first)
@@ -630,27 +541,48 @@ class TestChainMemo:
         return random_box(rng, p.n, lambda_weight=rng.choice((1, 2, 4, 8)))
 
     def query(self, db, stored, q: Box) -> tuple[int, int]:
-        """Check one query against the forgetful walk and the linear scan;
-        returns (visits, visits with the memo cleared)."""
-        want, full_visits, left = forgetful_find(db, q)
-        memo = db._point, db._clear
+        """Check one query against the walk from the root and the linear
+        scan; returns (visits, visits from the root)."""
+        want, full_visits, walked = forgetful_find(db, q)
         before = db.cluster_visits
         got = db.find_containing(q)
         visits = db.cluster_visits - before
         assert got == want, q
         lin = linear_containing(stored, q)
-        assert (got is None) == (not lin)
-        assert got is None or got in lin
+        if lin:
+            assert got in lin
+            assert got.index == min(b.index for b in lin)
+        else:
+            assert got is None
         assert visits <= full_visits
-        if q.mask == (1 << q.n) - 1:
-            assert (db._point, db._clear) == left
-        else:  # a box query is not remembered
-            assert (db._point, db._clear) == memo
+        assert db._levels == walked
         return visits, full_visits
+
+    def store(self, db, b: Box, check: bool) -> tuple[bool, bool]:
+        """Store ``b`` through ``insert``, or ``add_uncovered`` when ``check``
+        is off.  The kept lists must be a prefix of the lists a walk from
+        the root builds for the last query, all of them unless the store cut
+        the memo, and a cut resumes the next walk at its last kept depth.
+        Returns (stored, cut)."""
+        size = len(db)
+        if check:
+            db.insert(b)
+        else:
+            db.add_uncovered(b)
+        kept = list(db._levels)
+        cut = db._resume < len(kept)
+        last = Box(db.n, db._last_mask >> db._pad, db._last_val >> db._pad)
+        walked = forgetful_find(db, last)[2]
+        assert kept == walked[:len(kept)]
+        if cut:
+            assert db._resume == len(kept) - 1
+        else:
+            assert kept == walked
+        return len(db) > size, cut
 
     def test_interleaved_queries_and_stores(self):
         rng = random.Random(23)
-        hopped = memo_moves = 0
+        resumed = cuts = whole = 0
         cases = [(rng.randint(1, 200), 60) for _ in range(150)] + [(1999, 25)]
         for trial, (n, steps) in enumerate(cases):
             db = BoxDatabase(n, lambda_skip=bool(trial % 3))
@@ -670,7 +602,7 @@ class TestChainMemo:
                         q = Box.point(n, rng.getrandbits(n))
                     p = q
                     visits, full_visits = self.query(db, stored, q)
-                    hopped += visits < full_visits
+                    resumed += visits < full_visits
                 elif op < 0.55:  # a box query
                     if rng.random() < 0.5:
                         q = self.around(rng, p)
@@ -683,46 +615,30 @@ class TestChainMemo:
                 else:  # a store
                     b = self.new_box(rng, p)
                     covered = any(s.contains(b) for s in stored)
-                    memo = db._point, db._clear
-                    size = len(db)
-                    if op < 0.8 or covered:
-                        db.insert(b)
-                    else:
-                        db.add_uncovered(b)
-                    assert len(db) == size + (not covered)
-                    if not covered:
+                    added, cut = self.store(db, b, check=op < 0.8 or covered)
+                    assert added == (not covered)
+                    if added:
                         stored.append(b)
-                    # a containment check leaves the memo; only a store
-                    # into a chain cluster lowers its count
-                    assert db._point == memo[0]
-                    assert db._clear <= memo[1]
-                    if covered:
-                        assert db._clear == memo[1]
-                    memo_moves += db._clear < memo[1]
-                    assert db._chain == slot40_chain(db)
-        assert hopped > 800 and memo_moves > 400
+                        cuts += cut
+                        whole += not cut
+        assert resumed > 600 and cuts > 1200 and whole > 100, (resumed, cuts, whole)
 
-    def test_hop_returns_to_the_hopped_clusters_other_children(self):
-        side, chain = B("F---TTTT----"), B("----F--F----")
-        q = B("FFFFTTTTFFFF")
+    def test_a_store_above_the_stop_depth_is_found_at_once(self):
+        # with λ-skip the root and its all-λ child pass the walk through to
+        # the box at depth 2; a store into either changes the lists below
+        # it, which the next walk of the same point must rebuild
         for skip in (True, False):
             db = BoxDatabase(12, lambda_skip=skip)
-            db.insert(side)
-            db.insert(chain)
-            # (query, answer, visits): the chain box at depth 1 holds the
-            # first point, so the next hops the root only; that one's hit is
-            # off the chain, so its repeat hops the depth-1 cluster too, and
-            # the chain ends there
-            for point, want, visits in [
-                (B("FFFFFFFFFFFF"), chain, 2),
-                (q, side, 3),
-                (q, side, 2),
-                (B("TFFFFFFFFFFF"), chain, 2),
-            ]:
-                db.cluster_visits = 0
-                assert db.find_containing(point) == want
-                assert db.cluster_visits == visits
-                assert forgetful_find(db, point)[:2] == (want, 3 if want is side else 2)
+            deep = B("--------F---")
+            db.add_uncovered(deep)
+            p = Box.point(12, 0)
+            assert db.find_containing(p) == deep
+            db.add_uncovered(B("F---F-------"))  # a second child of the root
+            assert db.find_containing(p) == B("F---F-------")
+            db.add_uncovered(B("----F-------"))  # into the root's all-λ child
+            # an index tie at depth 1: the all-λ child's slot comes first
+            assert db.find_containing(p) == B("----F-------")
+            assert db.find_containing(p) == forgetful_find(db, p)[0]
 
     def test_a_store_on_the_chain_is_found_at_once(self):
         # after a miss every chain cluster is known to miss, so a box stored
@@ -738,13 +654,14 @@ class TestChainMemo:
 
 
 class TestLevelWalk:
-    """``smallest_containing`` resumes its last walk at the first depth the
-    query changes; it must answer exactly as a walk from the root does."""
+    """``find_containing`` resumes its last walk at the first depth the
+    query changes, or a store changed since; it must answer exactly as a
+    walk from the root does."""
 
     def compare(self, rng, n, lambda_skip, queries):
         """Sweep-shaped queries against two equal tries, the second walked
         from the root every time, with stores interleaved; returns the
-        clusters each visited in ``smallest_containing``."""
+        clusters each visited in ``find_containing``."""
         db = BoxDatabase(n, lambda_skip=lambda_skip)
         fresh = BoxDatabase(n, lambda_skip=lambda_skip)
         stored = []
@@ -781,11 +698,11 @@ class TestLevelWalk:
             full = db.all_containing(q, include_shadowed=True)
             want = min(full, key=lambda b: b.index) if full else None
             before = db.cluster_visits
-            got = db.smallest_containing(q)
+            got = db.find_containing(q)
             resumed += db.cluster_visits - before
-            fresh._levels = None  # walk from the root
+            fresh._resume = 0  # walk from the root
             before = fresh.cluster_visits
-            assert fresh.smallest_containing(q) == want, q
+            assert fresh.find_containing(q) == want, q
             walked += fresh.cluster_visits - before
             assert got == want, q
         return resumed, walked
@@ -816,10 +733,11 @@ def brute_miss_depth(db: BoxDatabase, p: Box) -> int | None:
 
 
 class TestMissDepth:
-    """After a ``smallest_containing`` miss, ``miss_depth`` reads the deepest
+    """After a ``find_containing`` miss, ``miss_depth`` reads the deepest
     first disagreement off the walk's memo; it must equal the maximum over
     ``boxes()``, whether the walk started at the root, resumed at a changed
-    depth or was answered by the memo outright."""
+    depth, resumed where a store cut the memo or was answered by the memo
+    outright."""
 
     def random_store(self, rng, db: BoxDatabase) -> None:
         n = db.n
@@ -834,7 +752,7 @@ class TestMissDepth:
 
     def test_matches_brute_force(self):
         rng = random.Random(0xD3E9)
-        paths = {"fresh": 0, "resumed": 0, "answered": 0}
+        paths = {"fresh": 0, "resumed": 0, "resumed after a store": 0, "answered": 0}
         for trial in range(200):
             n = rng.choice((rng.randint(1, 12), rng.randint(13, 40), 150))
             db = BoxDatabase(n, lambda_skip=bool(trial % 2))
@@ -842,19 +760,24 @@ class TestMissDepth:
                 self.random_store(rng, db)
             p = Box.point(n, rng.getrandbits(n))
             for _ in range(40):
-                if rng.random() < 0.05:
+                if rng.random() < 0.25:
                     self.random_store(rng, db)
                 # keep a prefix of random length, often a long one
                 rest = rng.choice((rng.randint(0, n), rng.randint(0, min(n, 4))))
                 p = Box.point(n, (p.val >> rest << rest) | rng.getrandbits(rest))
                 levels = db._levels
-                if levels is None:
+                changed = (p.val << db._pad) ^ db._last_val
+                first = (n + db._pad - changed.bit_length()) // CLUSTER_SPAN
+                start = min(first, db._resume)
+                if start >= len(levels):
+                    path = "answered"
+                elif start == 0:
                     path = "fresh"
+                elif db._resume == start:
+                    path = "resumed after a store"
                 else:
-                    changed = (p.val << db._pad) ^ db._last_val
-                    first = (n + db._pad - changed.bit_length()) // CLUSTER_SPAN
-                    path = "answered" if first >= len(levels) else "resumed"
-                if db.smallest_containing(p) is None:
+                    path = "resumed"
+                if db.find_containing(p) is None:
                     assert db.miss_depth() == brute_miss_depth(db, p), (p, path)
                     paths[path] += 1
                 else:
@@ -866,7 +789,7 @@ class TestMissDepth:
         for n in (0, 1, 4, 5, 9):
             for skip in (True, False):
                 db = BoxDatabase(n, lambda_skip=skip)
-                assert db.smallest_containing(Box.point(n, 0)) is None
+                assert db.find_containing(Box.point(n, 0)) is None
                 assert db.miss_depth() is None
 
     def test_needs_a_miss_since_the_last_store(self):
@@ -874,14 +797,29 @@ class TestMissDepth:
         with pytest.raises(BoxError):
             db.miss_depth()  # no walk yet
         db.add_uncovered(B("FF--"))
-        assert db.smallest_containing(B("FTFF")) is None
+        assert db.find_containing(B("FTFF")) is None
         assert db.miss_depth() == 1
         db.add_uncovered(B("FT--"))
         with pytest.raises(BoxError):
-            db.miss_depth()  # the store dropped the walk's memo
-        assert db.smallest_containing(B("FTFF")) == B("FT--")
+            db.miss_depth()  # the store changed the depth the walk stopped at
+        assert db.find_containing(B("FTFF")) == B("FT--")
         with pytest.raises(BoxError):
             db.miss_depth()  # a hit
+
+    def test_a_store_below_the_stop_depth_keeps_the_answer(self):
+        db = BoxDatabase(8)
+        db.add_uncovered(B("FF------"))
+        db.add_uncovered(B("TTTTF---"))
+        p = B("FTFFFFFF")
+        assert db.find_containing(p) is None  # every slot of the root misses
+        assert db.miss_depth() == 1
+        db.add_uncovered(B("TTTTT---"))  # into the depth-1 cluster, which exists
+        assert db.miss_depth() == 1
+        assert db.find_containing(p) is None
+        db.add_uncovered(B("FTF-----"))  # into the root: the walk's stop depth
+        with pytest.raises(BoxError):
+            db.miss_depth()
+        assert db.find_containing(p) == B("FTF-----")
 
 
 class TestWideFormulas:
@@ -895,7 +833,6 @@ class TestWideFormulas:
         for b in stored:
             q = specialise(rng, b, point=True)
             assert db.find_containing(q) == b
-            assert db.smallest_containing(q) == b
             assert db.all_containing(q) == [b]
         assert db.find_containing(Box.point(n, 0)) is None
         assert sorted(map(repr, db.boxes())) == sorted(map(repr, stored))

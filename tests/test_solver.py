@@ -477,11 +477,13 @@ class TestSweepInvariants:
         assert silent.done
 
 
-class ForgetfulCache(BoxDatabase):
-    """Walks every ``find_containing`` query from the root."""
+class ForgetfulTrie(BoxDatabase):
+    """Drops its memo of the last walk before every ``find_containing``
+    query, so each one walks from the root."""
 
     def find_containing(self, q: Box) -> Box | None:
-        self._clear = 0
+        self._levels = [[self.root]]
+        self._resume = 0
         return super().find_containing(q)
 
 
@@ -489,8 +491,8 @@ def memo_and_forgetful_sweeps(
     cnf: CnfProblem, config: SolverConfig, build=build_database
 ) -> tuple[SolverState, SolverState]:
     """The same sweep over the database ``build`` makes, with the cache's
-    chain memo and with a cache that forgets before every query; both must
-    take the same steps."""
+    memo of its last walk and with a cache that forgets it before every
+    query; both must take the same steps."""
     order = build_order(cnf, config.ordering)
     n = cnf.variable_count
     states = []
@@ -498,7 +500,7 @@ def memo_and_forgetful_sweeps(
         db = build(cnf, order, lambda_skip=config.lambda_skip)
         state = SolverState(n, db, config, trace=SweepTrace())
         if forget:
-            state.cache = ForgetfulCache(n, lambda_skip=config.lambda_skip)
+            state.cache = ForgetfulTrie(n, lambda_skip=config.lambda_skip)
         state.run_loop()
         states.append(state)
     got, want = states
@@ -543,8 +545,9 @@ def clause_mix_cnf(rng: random.Random, n: int) -> CnfProblem:
 
 
 class TestCacheStore:
-    def test_covered_resolvents_change_no_count(self):
-        # the sweep stores a resolvent that a cache box already contains
+    def test_no_cached_box_lies_inside_a_cache_box(self):
+        # the cache answers with its smallest containing box, so no box the
+        # sweep caches lies inside one it cached before (``boxsat.solver``)
         rng = random.Random(25)
         covered = 0
         for _ in range(16):
@@ -572,7 +575,7 @@ class TestCacheStore:
                             assert not inside or source == "resolution"
                             covered += inside
                             assert all((v & box.mask) != box.val for v in models[k:])
-        assert covered > 0
+        assert covered == 0
 
 
 def block_count(cnf: CnfProblem, groups: list[list[int]]) -> int:
@@ -588,11 +591,14 @@ def block_count(cnf: CnfProblem, groups: list[list[int]]) -> int:
 
 
 class TestChainHop:
+    """The cache's memo of its last walk, kept across stores, changes no
+    step, no cache insert and no count of the sweep."""
+
     def test_random_formulas(self):
-        """The hop is a property of the cache walk, so its coverage is
-        counted over sweeps of the unmerged per-clause database, where more
-        of these formulas need it; the merged database's sweeps must agree
-        with the forgetful cache too."""
+        """The memo is a property of the cache walk, so the walks it saves
+        are counted over sweeps of the unmerged per-clause database, which
+        cache more; the merged database's sweeps must agree with the
+        forgetful cache too."""
         rng = random.Random(83)
         fewer = 0
         for _ in range(12):
@@ -616,7 +622,7 @@ class TestChainHop:
         for skip in (True, False):
             got, forgot = memo_and_forgetful_sweeps(cnf, SolverConfig(lambda_skip=skip))
             assert got.model_count == want
-            # hops over the 16-level all-λ chain more than halve the cache visits
+            # resuming below the 16-level all-λ chain more than halves the cache visits
             assert 2 * got.cache.cluster_visits < forgot.cache.cluster_visits
 
 
@@ -655,14 +661,6 @@ class TestMergedDatabaseDifferential:
         assert runs == 200 * len(ORDERING_STRATEGIES) * 2 * 3
 
 
-class ForgetfulDatabase(BoxDatabase):
-    """Walks every ``smallest_containing`` query from the root."""
-
-    def smallest_containing(self, q: Box) -> Box | None:
-        self._levels = None
-        return super().smallest_containing(q)
-
-
 class TestDatabaseMemo:
     def sweep(self, n: int, db: BoxDatabase, config: SolverConfig) -> SolverState:
         state = SolverState(n, db, config, trace=SweepTrace())
@@ -680,7 +678,7 @@ class TestDatabaseMemo:
                     for mode in ("count", "enumerate"):
                         config = SolverConfig(ordering=name, lambda_skip=skip, mode=mode)
                         db = build_database(cnf, build_order(cnf, name), lambda_skip=skip)
-                        forgetful = ForgetfulDatabase(n, lambda_skip=skip)
+                        forgetful = ForgetfulTrie(n, lambda_skip=skip)
                         for b in db.boxes():
                             forgetful.add_uncovered(b)
                         assert forgetful.dump() == db.dump()
@@ -1026,7 +1024,6 @@ def build_and_reference(
     assert got.dump() == want.dump()
     assert list(got.boxes()) == list(want.boxes())
     assert len(got) == len(want)
-    assert [c.depth for c in got._chain] == [c.depth for c in want._chain]
     assert got.cluster_visits <= want.cluster_visits
     return got, want, merged
 
@@ -1205,6 +1202,33 @@ class TestSuffixCounts:
                         runs += 1
         assert runs == 200 * len(ORDERING_STRATEGIES) * 6
         assert regions > 4000
+
+    def test_region_steps_see_only_cache_hits_fixing_lambda(self):
+        """The cache answers with its smallest containing box.  So at a
+        region step, where the λ test turned the cache down, every cache hit
+        fixes a λ position, and no box the sweep caches lies inside a box it
+        cached before."""
+        rng = random.Random(0x5CF)
+        regions = 0
+        for _ in range(60):
+            cnf = component_cnf(rng, rng.randint(1, 10))
+            n = cnf.variable_count
+            for name in ORDERING_STRATEGIES:
+                for ratio in (0.0, 0.45):
+                    state = count_sweep(cnf, SolverConfig(insertion_ratio=ratio, ordering=name))
+                    cached: list[Box] = []
+                    while not state.done:
+                        hits = state.cache.all_containing(state.probe, include_shadowed=True)
+                        state.step()
+                        _, src, b = state.trace.steps[-1]
+                        if src == "component":
+                            assert all(h.index > n - b.lambda_count for h in hits)
+                            regions += 1
+                        for box, _ in state.trace.cache_inserts[len(cached):]:
+                            assert not any(c.contains(box) for c in cached), box
+                            cached.append(box)
+                    assert state.model_count == brute_count(cnf), (name, ratio)
+        assert regions > 500, regions
 
     def test_count_mode_with_a_sink_streams_every_model(self):
         from boxsat.cnf import point_to_literals
