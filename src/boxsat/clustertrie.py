@@ -250,7 +250,7 @@ class BoxDatabase:
     # -- operations ------------------------------------------------------
 
     def insert(self, b: Box) -> None:
-        if self.find_containing(b) is None:  # otherwise already covered; leave the structure untouched
+        if self.find_containing(b) is None:  # otherwise covered: leave the trie as it is
             self.add_uncovered(b)
 
     def add_uncovered(self, b: Box) -> None:
@@ -393,7 +393,7 @@ class BoxDatabase:
         """
         levels = self._levels
         if self._last_hit is not None or self._resume < len(levels):
-            raise BoxError("miss_depth needs a find_containing miss since the last store into its walk")
+            raise BoxError("miss_depth needs a find_containing miss, with no store into its walk since")
         d = len(levels) - 1
         seen = 0
         for cluster in levels[d]:

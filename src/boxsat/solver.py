@@ -87,14 +87,14 @@ Each step sets λ: the positions of the widest recorded region the probe p
 enters, or none.  It takes the first of these that applies: the smallest
 cache hit, if it fixes no λ position; the database's smallest-index box
 that fixes none, which means x falsifies a prefix box and which the step
-prefers to a deeper cache hit; the region box x·λ^(n-a) adding c_a, if λ is set; the
-gap box.  With no λ this is the plain step.  The region box is cached as
-``"component"`` and cascades and advances like any box containing p: its
-points are all settled, and it starts at p, after every point counted
-before.  So a timed-out count is still exact for the points before the
-probe.  The λ test is exact: λ covers p's last positions, so a box fixes
-one of them exactly when its index passes n - |λ|, and if the smallest
-hit does, every hit does.
+prefers to a deeper cache hit; the region box x·λ^(n-a) adding c_a, if λ
+is set; the gap box.  With no λ this is the plain step.  The λ test is
+exact: λ covers p's last positions, so a box fixes one of them exactly
+when its index passes n - |λ|, and if the smallest hit does, every hit
+does.  The region box is cached as ``"component"`` and cascades and
+advances like any box containing p: its points are all settled, and it
+starts at p, after every point counted before.  So a timed-out count is
+still exact for the points before the probe.
 
 ``run`` streams each model box as signed-literal tuples through
 ``cnf.literal_models``, whose template is each box's own prefix: the

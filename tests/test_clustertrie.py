@@ -641,8 +641,8 @@ class TestChainMemo:
             assert db.find_containing(p) == forgetful_find(db, p)[0]
 
     def test_a_store_on_the_chain_is_found_at_once(self):
-        # after a miss every chain cluster is known to miss, so a box stored
-        # on the chain has to lower that count for the next query to see it
+        # the miss stopped at the root, so a box stored there has to cut the
+        # memo for the same query to see it
         db = BoxDatabase(8)
         p = B("FFFFFFFF")
         assert db.find_containing(p) is None
