@@ -11,10 +11,14 @@ Usage: python scripts/ordering_bench.py [instance.cnf] [--ratio 0.45]
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
-from boxsat import SolverConfig, parse_dimacs, run
-from boxsat.benchgen import hidden_solution_blocks
-from boxsat.ordering import ORDERING_STRATEGIES
+# the checkout's sources, ahead of any installed copy
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from boxsat import SolverConfig, parse_dimacs, run  # noqa: E402
+from boxsat.benchgen import hidden_solution_blocks  # noqa: E402
+from boxsat.ordering import ORDERING_STRATEGIES  # noqa: E402
 
 
 def main() -> int:

@@ -16,9 +16,13 @@ import argparse
 import random
 import sys
 from itertools import combinations
+from pathlib import Path
 
-from boxsat import SolverConfig, run
-from boxsat.benchgen import GraphQuerySpec, InputGraph, generate_cnf
+# the checkout's sources, ahead of any installed copy
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from boxsat import SolverConfig, run  # noqa: E402
+from boxsat.benchgen import GraphQuerySpec, InputGraph, generate_cnf  # noqa: E402
 
 RATIOS = (0.0, 0.1, 0.25, 0.35, 0.45, 0.55, 0.75, 0.9, 1.0)
 

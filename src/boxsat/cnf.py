@@ -257,10 +257,10 @@ def _positions(order: VariableOrder, n: int) -> list[int]:
 
 def clause_boxes(
     literal_sets: Collection[frozenset[int]], n: int, order: VariableOrder
-) -> Iterator[Box]:
-    """The box of each literal set in turn, tautologies skipped: they
-    reject no assignment, so no box stands for them.  A literal outside
-    1..n raises ValueError.
+) -> Iterator[tuple[int, int]]:
+    """The box of each literal set in turn, as a length-``n`` (mask, val)
+    pair, tautologies skipped: they reject no assignment, so no box stands
+    for them.  A literal outside 1..n raises ValueError.
 
     One table, built once from the literals that occur, gives each literal's
     bit in a box's mask and in its val; a box is then two sums over it.  A
@@ -280,13 +280,13 @@ def clause_boxes(
     for lits in literal_sets:
         mask = sum(map(mask_of, lits))
         if mask.bit_count() == len(lits):
-            yield Box(n, mask, sum(map(val_of, lits)))
+            yield mask, sum(map(val_of, lits))
 
 
 def clause_to_box(clause: Clause, n: int, order: VariableOrder) -> Box:
     """Box rejecting exactly the assignments that violate ``clause``."""
-    for box in clause_boxes([clause.literals], n, order):
-        return box
+    for mask, val in clause_boxes([clause.literals], n, order):
+        return Box(n, mask, val)
     raise ValueError(f"tautology {sorted(clause.literals)} rejects no assignment, so has no box")
 
 

@@ -398,44 +398,36 @@ def _merge_siblings(boxes: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     pivot.  Returns the distinct boxes left, sorted by fixed count, then
     mask, then val.
 
-    A box only ever moves to a mask with one fixed position fewer, so each
-    mask group is run through its own pivots, last first, once every group
-    with more fixed positions is done: nothing joins it after that.  Each
-    box joins its group with the lowest pivot bit it may merge at: 1 for an
-    input box, twice its pivot for a merged one, since the pass reaches the
-    group's later pivots only.
+    Each pivot visits only the masks that fix it: an input mask is listed
+    at each of its bits, a mask first made at pivot p only at its bits
+    above p, since the pass is done with the others.
     """
-    inputs: dict[int, list[int]] = defaultdict(list)
+    groups: dict[int, set[int]] = {}  # mask -> its vals
     for m, v in boxes:
-        inputs[m].append(v)
-    # mask -> {lowest pivot bit: vals}
-    groups: dict[int, dict[int, list[int]]] = {m: {1: vals} for m, vals in inputs.items()}
-    levels: dict[int, list[int]] = {}  # fixed count -> its masks
+        groups.setdefault(m, set()).add(v)
+    at: dict[int, list[int]] = defaultdict(list)  # pivot bit -> the masks fixing it
+
+    def add_at(m: int, bits: int) -> None:
+        while bits:
+            at[bits & -bits].append(m)
+            bits &= bits - 1
+
     for m in groups:
-        levels.setdefault(m.bit_count(), []).append(m)
-    left = []
-    for k in range(max(levels, default=0), -1, -1):
-        for m in levels.get(k, ()):
-            joins = groups.pop(m)
-            live = set(joins.pop(1, ()))
-            later = sorted(joins.items(), reverse=True)  # the next to join last
-            rest = m
-            while rest and (len(live) > 1 or later):
-                pivot = rest & -rest
-                rest ^= pivot
-                while later and later[-1][0] <= pivot:
-                    live.update(later.pop()[1])
-                for v in [v for v in live if not v & pivot and v | pivot in live]:
-                    live -= {v, v | pivot}
-                    target = groups.get(m ^ pivot)
-                    if target is None:
-                        target = groups[m ^ pivot] = {}
-                        levels.setdefault(k - 1, []).append(m ^ pivot)
-                    target.setdefault(pivot << 1, []).append(v)
-            for _, vals in later:
-                live.update(vals)
-            left.extend((m, v) for v in live)
-    return sorted(left, key=lambda mv: (mv[0].bit_count(), mv[0], mv[1]))
+        add_at(m, m)
+    for pivot in [1 << i for i in range(max(groups, default=0).bit_length())]:
+        for m in at.pop(pivot, ()):
+            vals = groups[m]
+            pairs = [v for v in vals if not v & pivot and v | pivot in vals]
+            if not pairs:
+                continue
+            vals.difference_update(pairs, [v | pivot for v in pairs])
+            target = m ^ pivot
+            if target not in groups:
+                groups[target] = set()
+                add_at(target, target & -(pivot << 1))  # its pivots after this one
+            groups[target].update(pairs)
+    masks = sorted(groups, key=lambda m: (m.bit_count(), m))
+    return [(m, v) for m in masks for v in sorted(groups[m])]
 
 
 def build_database(
@@ -443,16 +435,17 @@ def build_database(
 ) -> BoxDatabase:
     """The clause database, merged before it is stored.
 
-    The distinct clause boxes go through one sibling-merge pass (see
-    ``_merge_siblings``, the pairing step of Quine–McCluskey): two boxes
-    with the same mask that differ only at one position become one box with
-    that position λ.  The merged boxes are then stored in increasing
-    fixed-count order.  Those fixing the fewest positions are stored by
-    ``add_uncovered``: a box containing a different box fixes a strict
-    subset of its positions, so none of them lies inside another.  Every
-    other box goes through ``insert``, which skips a box that a stored box
-    contains.  So the stored set is the merged boxes that no other merged
-    box contains.
+    The distinct clause boxes, as the (mask, val) pairs ``clause_boxes``
+    yields, go through one sibling-merge pass (see ``_merge_siblings``, the
+    pairing step of Quine–McCluskey): pivot by pivot, two boxes with the
+    same mask that differ only at the pivot become one box with the pivot
+    λ.  Only the merged boxes become ``Box``es, as they are stored in
+    increasing fixed-count order.  Those fixing the fewest positions are
+    stored by ``add_uncovered``: a box containing a different box fixes a
+    strict subset of its positions, so none of them lies inside another.
+    Every other box goes through ``insert``, which skips a box that a
+    stored box contains.  So the stored set is the merged boxes that no
+    other merged box contains.
 
     The union of the boxes is the clauses' union, so every count is the
     same as one box per clause.  The stored set depends only on the set of
@@ -460,8 +453,7 @@ def build_database(
     """
     n = cnf.variable_count
     db = BoxDatabase(n, lambda_skip=lambda_skip)
-    distinct = clause_boxes({cl.literals for cl in cnf.clauses}, n, order)
-    merged = _merge_siblings((b.mask, b.val) for b in distinct)
+    merged = _merge_siblings(clause_boxes({cl.literals for cl in cnf.clauses}, n, order))
     fewest = merged[0][0].bit_count() if merged else 0
     for m, v in merged:
         if m.bit_count() == fewest:

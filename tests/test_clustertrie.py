@@ -498,7 +498,7 @@ def forgetful_find(db: BoxDatabase, q: Box):
     return got, visits, walked
 
 
-class TestChainMemo:
+class TestWalkMemo:
     """``find_containing`` resumes through its memo of the last walk, which
     stores cut back to the depth they change; every answer is the walk's
     from the root, and the kept lists are the ones that walk builds."""
@@ -640,7 +640,7 @@ class TestChainMemo:
             assert db.find_containing(p) == B("----F-------")
             assert db.find_containing(p) == forgetful_find(db, p)[0]
 
-    def test_a_store_on_the_chain_is_found_at_once(self):
+    def test_a_store_above_the_last_miss_is_found_at_once(self):
         # the miss stopped at the root, so a box stored there has to cut the
         # memo for the same query to see it
         db = BoxDatabase(8)

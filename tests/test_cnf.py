@@ -288,7 +288,7 @@ class TestOrderFit:
         order = VariableOrder([4, 2, 3, 1])
         box = clause_to_box(self.clause, 4, order)
         assert box == B("TF-T")
-        assert list(clause_boxes([self.clause.literals], 4, order)) == [box]
+        assert list(clause_boxes([self.clause.literals], 4, order)) == [(box.mask, box.val)]
         assert box_to_clause(box, order) == self.clause
         assert point_to_literals(self.point, order) == (1, -2, -3, 4)
         assert list(literal_models(order)(self.model_box)) == [(-1, -2, -3, 4), (1, -2, -3, 4)]

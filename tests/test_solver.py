@@ -20,7 +20,14 @@ from boxsat import (
 )
 from boxsat.benchgen import GraphQuerySpec, InputGraph, generate_cnf, hidden_solution_blocks
 from boxsat.boxes import BoxError, Trit
-from boxsat.solver import SolverError, SolverState, SweepTrace, advance, build_database
+from boxsat.solver import (
+    SolverError,
+    SolverState,
+    SweepTrace,
+    _merge_siblings,
+    advance,
+    build_database,
+)
 from boxsat.oracle import brute_count, brute_models
 
 from conftest import (
@@ -590,7 +597,7 @@ def block_count(cnf: CnfProblem, groups: list[list[int]]) -> int:
     return count
 
 
-class TestChainHop:
+class TestCacheWalkMemo:
     """The cache's memo of its last walk, kept across stores, changes no
     step, no cache insert and no count of the sweep."""
 
@@ -1151,6 +1158,79 @@ class TestBuildDatabase:
         cnf = CnfProblem(3, [Clause([1, -1, 2]), Clause([2, -3]), Clause([3, -3])])
         assert len(build_database(cnf, order)) == 1
         assert run(cnf).count == brute_count(cnf) == 6
+
+
+def merged_by_reference(pairs: list[tuple[int, int]], n: int) -> list[tuple[int, int]]:
+    """``reference_merge`` over (mask, val) pairs, as the sorted list
+    ``_merge_siblings`` returns: fixed count, then mask, then val."""
+    merged = reference_merge({Box(n, m, v) for m, v in pairs}, n)
+    return sorted(((b.mask, b.val) for b in merged), key=lambda mv: (mv[0].bit_count(), *mv))
+
+
+def sub_cube(rng: random.Random, n: int, k: int) -> list[tuple[int, int]]:
+    """The 2^k boxes of one random mask that agree off k random pivots of it
+    and take every value on them."""
+    mask = rng.getrandbits(n) | (1 << k) - 1
+    pivots = rng.sample([1 << i for i in range(n) if mask >> i & 1], k)
+    base = rng.getrandbits(n) & mask & ~sum(pivots)
+    return [(mask, base | sum(p for j, p in enumerate(pivots) if c >> j & 1)) for c in range(1 << k)]
+
+
+class TestMergeSiblings:
+    """``_merge_siblings`` returns exactly the reference merge's boxes, in
+    the order ``build_database`` stores them."""
+
+    def test_random_sets_equal_the_reference_merge(self):
+        rng = random.Random(0x9A1)
+        for _ in range(2000):
+            n = rng.randint(1, 10)
+            pairs = []
+            for _ in range(rng.randint(0, 30)):
+                m = rng.getrandbits(n)
+                pairs.append((m, rng.getrandbits(n) & m))
+            for _ in range(rng.randint(0, 2)):
+                cube = sub_cube(rng, n, rng.randint(0, min(n, 4)))
+                if rng.random() < 0.4:  # a corner missing
+                    cube.pop(rng.randrange(len(cube)))
+                pairs += cube
+            rng.shuffle(pairs)
+            assert _merge_siblings(pairs) == merged_by_reference(pairs, n)
+
+    def test_a_full_sub_cube_collapses_to_one_box(self):
+        rng = random.Random(0xC0BE)
+        for k in range(1, 6):
+            n = rng.randint(k, 12)
+            cube = sub_cube(rng, n, k)
+            rng.shuffle(cube)
+            (m, v), = _merge_siblings(cube)
+            assert m.bit_count() == cube[0][0].bit_count() - k
+            assert [(m, v)] == merged_by_reference(cube, n)
+
+    def test_a_sub_cube_with_a_corner_missing_does_not_collapse(self):
+        rng = random.Random(0xC0B)
+        for k in range(2, 6):
+            n = rng.randint(k, 12)
+            cube = sub_cube(rng, n, k)
+            del cube[rng.randrange(len(cube))]
+            got = _merge_siblings(cube)
+            assert len(got) > 1
+            assert got == merged_by_reference(cube, n)
+
+    def test_a_merged_box_equal_to_an_input_box_is_kept_once(self):
+        # FF and FT merge to F-, which is an input box too
+        pairs = [(0b11, 0b00), (0b10, 0b00), (0b11, 0b01)]
+        assert _merge_siblings(pairs) == [(0b10, 0b00)] == merged_by_reference(pairs, 2)
+        # F-F and F-T merge to F--; F-- merges with T-- to ---, an input box
+        pairs = [(0b101, 0b000), (0b101, 0b001), (0b100, 0b000), (0b100, 0b100), (0, 0)]
+        assert _merge_siblings(pairs) == [(0, 0)] == merged_by_reference(pairs, 3)
+
+    def test_four_boxes_over_one_position_pair_merge_to_all_lambda(self):
+        # FF FT TF TT
+        pairs = [(0b11, v) for v in range(4)]
+        assert _merge_siblings(pairs) == [(0, 0)] == merged_by_reference(pairs, 2)
+        # the same pair inside wider boxes: positions 2 and 4 of four
+        pairs = [(0b0101, v) for v in (0b0000, 0b0001, 0b0100, 0b0101)]
+        assert _merge_siblings(pairs) == [(0, 0)] == merged_by_reference(pairs, 4)
 
 
 def region_counts(cnf: CnfProblem, order: VariableOrder, s: int) -> set[int]:
